@@ -20,8 +20,11 @@ backends:
   note when the extension is unavailable.
 
 The backend list is an axis: ``--backends indexed,numpy,native``
-measures each backend on the same graph and reports speedups relative
-to the ``indexed`` reference.
+measures each backend's per-step pipeline
+(:func:`repro.core.extend.extend_masks_reference`) on the same graph
+and reports speedups relative to the ``indexed`` reference.  For MCS-M
+a ``fused`` column adds the one-call native Extend
+(:func:`repro.core.extend.extend_masks`) when the extension loads.
 
 The benchmark graph per size is *near-chordal*: a seeded random
 chordal graph with 1% of its edges deleted.  That is the distribution
@@ -37,7 +40,12 @@ dispatch checks cost a few percent.
 identical MCS-M fill + ordering, LB-Triang fills for every heuristic,
 PEO verdicts, chordal separator sets, and ``Extend`` outputs — on the
 seeded property corpus and exits non-zero on any mismatch: the
-hardware-independent correctness gate run in CI.  The gate runs on the
+hardware-independent correctness gate run in CI.  When the compiled
+extension loads, the gate also pins the fused native steps against
+their int-mask oracles: ``extend_mcs_m`` (``extend_masks`` vs
+``extend_masks_reference``, φ = ∅ and φ = half of that result, same
+masks in the same order) and ``component_neighbourhoods`` (the
+``minimal_separator_masks`` yield order, first 300 separators).  The gate runs on the
 backend named by ``--graph-backend`` (default ``numpy``; CI also runs
 it with ``--graph-backend native``).  ``--record LABEL`` appends the
 measurements (with the ``cores`` field convention of the PR 2/3
@@ -54,6 +62,7 @@ benchmarks) to ``baselines.json``::
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -63,13 +72,14 @@ import time
 from pathlib import Path
 
 from repro.chordal.chordal_separators import minimal_separators_of_chordal
+from repro.chordal.minimal_separators import minimal_separator_masks
 from repro.chordal.peo import (
     is_perfect_elimination_ordering,
     maximum_cardinality_search,
 )
 from repro.chordal.triangulate import lb_triang, mcs_m
-from repro.core.extend import extend_parallel_set
-from repro.graph import resolve_graph_backend
+from repro.core.extend import extend_masks, extend_masks_reference
+from repro.graph import fused_kernels, resolve_graph_backend
 from repro.graph.generators import (
     cycle_graph,
     gnp_random_graph,
@@ -153,7 +163,7 @@ def run_check(backend: str = "numpy") -> int:
                 "lb_triang:natural",
                 lambda g: lb_triang(g, heuristic="natural"),
             ),
-            ("extend", lambda g: extend_parallel_set(g, ())),
+            ("extend", lambda g: extend_masks_reference(g, ())),
         ]
         for name, fn in pairs:
             if fn(graph) != fn(packed):
@@ -175,6 +185,13 @@ def run_check(backend: str = "numpy") -> int:
         ) != minimal_separators_of_chordal(packed):
             failures += 1
             print(f"chordal graph {index}: MISMATCH in separator extraction")
+    fused = fused_kernels() is not None
+    if fused:
+        for index, graph in enumerate(corpus):
+            mismatches = check_fused(graph, resolve_graph_backend(graph, backend))
+            if mismatches:
+                failures += mismatches
+                print(f"graph {index}: MISMATCH in a fused native step")
     if failures:
         print(f"FAILED: {failures} packed-vs-oracle mismatches")
         return 1
@@ -182,7 +199,38 @@ def run_check(backend: str = "numpy") -> int:
         f"OK — packed ({backend}) Extend kernels match the int-mask "
         f"oracles on {len(corpus)} graphs + {len(chordal)} chordal graphs"
     )
+    if fused:
+        print(
+            "OK — fused extend_mcs_m and component_neighbourhoods match "
+            "their int-mask oracles (same masks, same order)"
+        )
+    else:
+        print("note: native extension unavailable — fused rows skipped")
     return 0
+
+
+def check_fused(graph, packed) -> int:
+    """Mismatches of the fused native steps against their oracles."""
+    failures = 0
+    family = extend_masks_reference(graph, ())
+    for phi in ((), family[: max(1, len(family) // 2)]):
+        if extend_masks(packed, phi) != extend_masks_reference(graph, phi):
+            failures += 1
+            print(f"  extend_mcs_m differs for |phi|={len(phi)}")
+    # The oracle order: the same generator with the fused step disabled.
+    module = sys.modules[minimal_separator_masks.__module__]
+    fused_order = list(itertools.islice(minimal_separator_masks(packed), 300))
+    module.fused_kernels = lambda: None
+    try:
+        oracle_order = list(
+            itertools.islice(minimal_separator_masks(graph), 300)
+        )
+    finally:
+        module.fused_kernels = fused_kernels
+    if fused_order != oracle_order:
+        failures += 1
+        print("  component_neighbourhoods: separator yield order differs")
+    return failures
 
 
 def main() -> int:
@@ -259,7 +307,7 @@ def main() -> int:
             for backend in backends:
                 instance = resolved[backend]
                 seconds = measure(
-                    lambda: extend_parallel_set(instance, (), name),
+                    lambda: extend_masks_reference(instance, (), name),
                     args.repeats,
                 )
                 row[f"{backend}_seconds"] = round(seconds, 6)
@@ -270,6 +318,14 @@ def main() -> int:
                 row[f"speedup_{backend}"] = round(
                     reference / row[f"{backend}_seconds"], 2
                 )
+            fused = ""
+            if name == "mcs_m" and fused_kernels() is not None:
+                seconds = measure(
+                    lambda: extend_masks(graph, (), name), args.repeats
+                )
+                row["fused_seconds"] = round(seconds, 6)
+                row["speedup_fused"] = round(reference / seconds, 2)
+                fused = f"  fused {seconds * 1e3:9.3f}ms ({row['speedup_fused']:.2f}x)"
             per_size[name] = row
             cells = "  ".join(
                 f"{backend} {row[f'{backend}_seconds'] * 1e3:9.3f}ms"
@@ -279,7 +335,10 @@ def main() -> int:
                 f"{backend} {row[f'speedup_{backend}']:.2f}x"
                 for backend in backends[1:]
             )
-            print(f"n={n:<5} {name:<10} {cells}  → vs {backends[0]}: {ratios}")
+            print(
+                f"n={n:<5} {name:<10} {cells}  → vs {backends[0]}: "
+                f"{ratios}{fused}"
+            )
         results[str(n)] = per_size
 
     if args.record:

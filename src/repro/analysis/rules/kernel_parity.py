@@ -11,6 +11,11 @@ checks:
   tier plumbing) has a same-named numpy fallback defined top-level in
   ``bitset_np.py`` — so a fleet member without a compiler degrades
   instead of crashing;
+- a *fused* kernel (a whole layer step in one C call, listed in the
+  native module's ``FUSED_ORACLES``) pairs with a named int-mask
+  oracle instead: the entry ``"<path under repro/>:<function>"`` must
+  name a top-level function that exists, and the kernel must be
+  declared in the cdef;
 - the cdef hash matches ``graph/_native/cdef.lock`` — changing the C
   signatures without bumping ``_ABI_VERSION`` (and refreshing the
   lock) is an error, because a stale cached ``.so`` would then be
@@ -40,6 +45,7 @@ NON_KERNEL_EXPORTS = {
     "kernel_namespace",
     "NativeGraphCore",
     "NativeMCSQueue",
+    "PackedGraph",
 }
 
 _DECL_NAME_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\(")
@@ -90,7 +96,7 @@ def _parse_lock(text: str) -> dict[str, str]:
 
 def _module_constants(tree: ast.AST) -> dict[str, object]:
     """Module-level constant assignments we care about."""
-    wanted = {"_CDEF", "_ABI_VERSION", "__all__"}
+    wanted = {"_CDEF", "_ABI_VERSION", "__all__", "FUSED_ORACLES"}
     values: dict[str, object] = {}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Assign):
@@ -149,10 +155,13 @@ class KernelParityRule(Rule):
                         f"cdef declares {name}() but kernels.c does "
                         f"not define it",
                     )
-        yield from self._check_fallbacks(project, native, constants)
+        fused = constants.get("FUSED_ORACLES")
+        fused = fused if isinstance(fused, dict) else {}
+        yield from self._check_fallbacks(project, native, constants, fused)
+        yield from self._check_oracles(project, native, constants, fused, declared)
         yield from self._check_lock(project, native, constants, cdef)
 
-    def _check_fallbacks(self, project, native, constants):
+    def _check_fallbacks(self, project, native, constants, fused):
         fallback = project.find(FALLBACK_FILE)
         if fallback is None or fallback.tree is None:
             return
@@ -161,7 +170,7 @@ class KernelParityRule(Rule):
             return
         available = _top_level_names(fallback.tree)
         for name in exports:
-            if name in NON_KERNEL_EXPORTS:
+            if name in NON_KERNEL_EXPORTS or name in fused:
                 continue
             if name not in available:
                 yield native.finding(
@@ -170,6 +179,39 @@ class KernelParityRule(Rule):
                     f"native kernel {name!r} has no same-named numpy "
                     f"fallback in {FALLBACK_FILE} — a host without a "
                     f"compiler cannot degrade",
+                )
+
+    def _check_oracles(self, project, native, constants, fused, declared):
+        exports = constants.get("__all__")
+        exports = exports if isinstance(exports, list) else []
+        for name, oracle in fused.items():
+            if name not in exports:
+                yield native.finding(
+                    self.id,
+                    1,
+                    f"FUSED_ORACLES lists {name!r}, which the native "
+                    f"module does not export",
+                )
+            if name not in declared:
+                yield native.finding(
+                    self.id,
+                    1,
+                    f"fused kernel {name!r} is not declared in the cdef",
+                )
+            path, sep, function = str(oracle).partition(":")
+            module = project.find(path) if sep else None
+            if (
+                module is None
+                or module.tree is None
+                or function not in _top_level_names(module.tree)
+            ):
+                yield native.finding(
+                    self.id,
+                    1,
+                    f"fused kernel {name!r} names int-mask oracle "
+                    f"{oracle!r}, which does not exist — every fused "
+                    f"step needs a Python oracle to test against and "
+                    f"fall back to",
                 )
 
     def _check_lock(self, project, native, constants, cdef):

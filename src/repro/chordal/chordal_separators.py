@@ -20,7 +20,29 @@ from __future__ import annotations
 from repro.chordal.cliques import clique_forest_masks
 from repro.graph.graph import Graph, Node
 
-__all__ = ["chordal_separator_masks", "minimal_separators_of_chordal"]
+__all__ = [
+    "chordal_separator_masks",
+    "ordered_separator_masks",
+    "minimal_separators_of_chordal",
+]
+
+
+def ordered_separator_masks(graph: Graph) -> list[int]:
+    """``MinSep(graph)`` of a chordal graph as an ordered mask list.
+
+    The distinct clique-tree edge labels in clique-creation order, with
+    the empty separator (mask 0) last when the graph is disconnected.
+    This order is the contract the fused native Extend reproduces.
+
+    Raises :class:`~repro.errors.NotChordalError` on non-chordal input.
+    """
+    __, parent, separator_masks, __ = clique_forest_masks(graph)
+    separators = list(
+        dict.fromkeys(mask for mask in separator_masks if mask is not None)
+    )
+    if sum(1 for p in parent if p is None) > 1:
+        separators.append(0)
+    return separators
 
 
 def chordal_separator_masks(graph: Graph) -> tuple[set[int], bool]:
@@ -36,10 +58,8 @@ def chordal_separator_masks(graph: Graph) -> tuple[set[int], bool]:
 
     Raises :class:`~repro.errors.NotChordalError` on non-chordal input.
     """
-    __, parent, separator_masks, __ = clique_forest_masks(graph)
-    separators = {mask for mask in separator_masks if mask is not None}
-    component_roots = sum(1 for p in parent if p is None)
-    return separators, component_roots > 1
+    separators = ordered_separator_masks(graph)
+    return {mask for mask in separators if mask}, 0 in separators
 
 
 def minimal_separators_of_chordal(graph: Graph) -> set[frozenset[Node]]:

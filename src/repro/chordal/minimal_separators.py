@@ -33,7 +33,9 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator
+from functools import partial
 
+from repro.graph import fused_kernels
 from repro.graph.components import is_separator
 from repro.graph.core import IndexedGraph, iter_bits
 from repro.graph.graph import Graph, Node
@@ -41,6 +43,7 @@ from repro.graph.graph import Graph, Node
 __all__ = [
     "minimal_separators",
     "minimal_separator_masks",
+    "component_neighbourhoods_reference",
     "all_minimal_separators",
     "are_crossing",
     "are_crossing_masks",
@@ -59,7 +62,7 @@ Separator = frozenset[Node]
 BATCH_KERNEL_MIN = 4
 
 
-def minimal_separator_masks(graph: Graph) -> Iterator[int]:
+def minimal_separator_masks(graph: Graph, packed=None) -> Iterator[int]:
     """Enumerate ``MinSep(graph)`` as vertex bitmasks (paper Figure 2).
 
     The mask-level engine behind :func:`minimal_separators`: every
@@ -67,6 +70,15 @@ def minimal_separator_masks(graph: Graph) -> Iterator[int]:
     polynomial delay bound.  Deterministic in label order: candidate
     vertices *and* component starts are visited in label-sorted order,
     so the yield order does not depend on node insertion order.
+
+    The inner step — N(C) for every component C of g minus a removed
+    set — is one native call (``component_neighbourhoods``) when the
+    compiled kernels are available, on any graph core; ``packed`` is the
+    graph's cached :class:`~repro.graph._native.native.PackedGraph`
+    (built here when omitted).  Otherwise
+    :func:`component_neighbourhoods_reference` runs; both give the same
+    masks in the same order, so the yield order never depends on the
+    tier.
     """
     core = graph.core
     if not core.alive:
@@ -75,20 +87,28 @@ def minimal_separator_masks(graph: Graph) -> Iterator[int]:
     adj = core.adj
     order = graph.sorted_indices()
     ranks = graph.ranks()
+    native = fused_kernels()
+    if native is not None:
+        if packed is None:
+            packed = native.PackedGraph(graph)
+        neighbourhoods = partial(native.component_neighbourhoods, packed)
+    else:
+        neighbourhoods = partial(
+            component_neighbourhoods_reference, core, order=order
+        )
 
     queue: deque[int] = deque()
     seen: set[int] = set()
 
-    def discover(separator: int) -> None:
-        if separator not in seen:
-            seen.add(separator)
-            queue.append(separator)
+    def discover(separators: list[int]) -> None:
+        for separator in separators:
+            if separator not in seen:
+                seen.add(separator)
+                queue.append(separator)
 
     # Seeds: neighbourhoods of the components of g \ N[v] for every v.
     for v in order:
-        closed = adj[v] | 1 << v
-        for component in core.components(closed, order=order):
-            discover(core.neighborhood_of_set(component))
+        discover(neighbourhoods(adj[v] | 1 << v))
 
     # The empty set is a minimal separator iff the graph is disconnected,
     # in which case it already appeared as a seed (a foreign component
@@ -96,10 +116,24 @@ def minimal_separator_masks(graph: Graph) -> Iterator[int]:
     while queue:
         separator = queue.popleft()
         for x in sorted(iter_bits(separator), key=ranks.__getitem__):
-            removed = separator | adj[x]
-            for component in core.components(removed, order=order):
-                discover(core.neighborhood_of_set(component))
+            discover(neighbourhoods(separator | adj[x]))
         yield separator
+
+
+def component_neighbourhoods_reference(
+    core: IndexedGraph, removed: int, order: list[int]
+) -> list[int]:
+    """N(C) for every component C of the graph minus ``removed``.
+
+    Components are listed by their first vertex in ``order`` (label
+    order in :func:`minimal_separator_masks`).  The int-mask oracle of
+    the native ``component_neighbourhoods`` kernel.
+    """
+    neighborhood_of_set = core.neighborhood_of_set
+    return [
+        neighborhood_of_set(component)
+        for component in core.components(removed, order=order)
+    ]
 
 
 def minimal_separators(graph: Graph) -> Iterator[Separator]:

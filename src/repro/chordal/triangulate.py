@@ -61,6 +61,7 @@ __all__ = [
     "min_degree_order",
     "elimination_game_triangulation",
     "Triangulator",
+    "MCS_M",
     "get_triangulator",
     "available_triangulators",
     "register_triangulator",
@@ -574,9 +575,11 @@ def available_triangulators() -> list[str]:
     return sorted(_REGISTRY)
 
 
-register_triangulator(
-    Triangulator("mcs_m", lambda g: mcs_m(g)[0], guarantees_minimal=True)
-)
+#: The MCS-M heuristic; ``Extend`` runs it as one native call when the
+#: compiled kernels are available (:func:`repro.core.extend.extend_masks`).
+MCS_M = Triangulator("mcs_m", lambda g: mcs_m(g)[0], guarantees_minimal=True)
+
+register_triangulator(MCS_M)
 register_triangulator(
     Triangulator("lb_triang", lambda g: lb_triang(g), guarantees_minimal=True)
 )

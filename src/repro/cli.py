@@ -764,9 +764,15 @@ def _command_kernels(args: argparse.Namespace) -> int:
     active = "native" if info["available"] else "numpy"
     print(f"active tier      : {active} (auto above "
           f"{_bitset.NUMPY_THRESHOLD} nodes; force with --graph-backend)")
+    fused = (
+        "native on every graph core" if info["available"]
+        else "int-mask oracles"
+    )
+    print(f"fused steps      : {fused} (Extend with MCS-M, "
+          "separator generation)")
     print("kernels:")
     for name, tier in sorted(info["kernels"].items()):
-        print(f"  {name:<22} {tier}")
+        print(f"  {name:<24} {tier}")
     return 0
 
 

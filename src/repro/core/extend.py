@@ -14,18 +14,32 @@ of g into a *maximal* such set:
 Correctness (paper Lemma 4.6) rests on Heggernes' theorem: a minimal
 triangulation of ``g[φ]`` is a minimal triangulation of g, its minimal
 separator set is a maximal pairwise-parallel family, and it contains φ.
+
+The enumeration layers call the mask-level :func:`extend_masks`.  With
+MCS-M (Berry, Blair, Heggernes & Peyton) and the compiled kernels
+available it is one native call — saturation, MCS-M and the
+clique-forest scan fused in C — on every graph core; otherwise the
+int-mask pipeline :func:`extend_masks_reference` runs, which stays the
+oracle the native step is tested against.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.chordal.chordal_separators import minimal_separators_of_chordal
+from repro.chordal.chordal_separators import ordered_separator_masks
 from repro.chordal.sandwich import minimal_triangulation_sandwich
-from repro.chordal.triangulate import Triangulator, get_triangulator
+from repro.chordal.triangulate import MCS_M, Triangulator, get_triangulator
+from repro.graph import fused_kernels
 from repro.graph.graph import Graph, Node
 
-__all__ = ["extend_parallel_set", "minimal_triangulation_via"]
+__all__ = [
+    "extend_masks",
+    "extend_masks_reference",
+    "extend_tier",
+    "extend_parallel_set",
+    "minimal_triangulation_via",
+]
 
 Separator = frozenset[Node]
 
@@ -44,6 +58,64 @@ def minimal_triangulation_via(
     if not method.guarantees_minimal:
         filled, __ = minimal_triangulation_sandwich(graph, filled)
     return filled
+
+
+def _fused_extend(triangulator: str | Triangulator):
+    """The native module when Extend with ``triangulator`` runs fused."""
+    if get_triangulator(triangulator) is not MCS_M:
+        return None
+    return fused_kernels()
+
+
+def extend_tier(triangulator: str | Triangulator = "mcs_m") -> str:
+    """``"native"`` when :func:`extend_masks` runs the fused C step for
+    ``triangulator`` on this host, else ``"indexed"`` (the int-mask
+    pipeline).  Recorded as ``extend:<tier>`` in
+    :attr:`~repro.sgr.enum_mis.EnumMISStatistics.kernel_tiers`."""
+    return "indexed" if _fused_extend(triangulator) is None else "native"
+
+
+def extend_masks(
+    graph: Graph,
+    masks: Iterable[int],
+    triangulator: str | Triangulator = "mcs_m",
+    packed=None,
+) -> list[int]:
+    """``Extend`` at the mask level: separator masks in, masks out.
+
+    Returns the distinct minimal separators of a minimal triangulation
+    of ``g[φ]`` (φ = ``masks``) in clique-creation order, with the empty
+    separator (mask 0) last when ``graph`` is disconnected.  MCS-M runs
+    as one fused native call when the kernels are available; ``packed``
+    is the graph's cached :class:`~repro.graph._native.native.PackedGraph`
+    (built on the fly when omitted).  Every other case runs
+    :func:`extend_masks_reference`, whose output is identical.
+    """
+    native = _fused_extend(triangulator)
+    if native is not None:
+        if packed is None:
+            packed = native.PackedGraph(graph)
+        return native.extend_mcs_m(packed, masks)
+    return extend_masks_reference(graph, masks, triangulator)
+
+
+def extend_masks_reference(
+    graph: Graph,
+    masks: Iterable[int],
+    triangulator: str | Triangulator = "mcs_m",
+) -> list[int]:
+    """The int-mask ``Extend`` pipeline: the oracle of :func:`extend_masks`.
+
+    Saturates g[φ] on a scratch copy (keeping the graph-core backend, so
+    a packed core runs its per-step kernels), triangulates it, and scans
+    the clique forest of the result.
+    """
+    saturated = graph.copy()
+    core = saturated.core
+    for mask in masks:
+        core.saturate(mask)
+    triangulated = minimal_triangulation_via(saturated, triangulator)
+    return ordered_separator_masks(triangulated)
 
 
 def extend_parallel_set(
@@ -72,18 +144,7 @@ def extend_parallel_set(
         ``MinSep(h)`` for a minimal triangulation h of ``g[φ]`` — a
         maximal pairwise-parallel family containing φ (Lemma 4.6).
     """
-    # Saturate g[φ] on a scratch bitmask copy: one mask per separator,
-    # no label-level edge bookkeeping (the fill is not needed here).
-    # The copy keeps the graph-core backend, so a numpy-backed input
-    # runs the whole Extend pipeline — saturation, the triangulation
-    # heuristic, the clique-forest extraction — on the packed kernels.
-    saturated = graph.copy()
-    core = saturated.core
-    for separator in separators:
-        core.saturate(saturated.mask_of(separator))
-    triangulated = minimal_triangulation_via(saturated, triangulator)
-    # ExtractMinSeps runs at the mask level inside
-    # minimal_separators_of_chordal (clique-forest scan, no per-clique
-    # label translation); labels materialise once, on the answer
-    # boundary.
-    return frozenset(minimal_separators_of_chordal(triangulated))
+    mask_of = graph.mask_of
+    masks = extend_masks(graph, [mask_of(s) for s in separators], triangulator)
+    label_set = graph.label_set
+    return frozenset(label_set(mask) for mask in masks)

@@ -59,7 +59,11 @@ from typing import NamedTuple
 
 from repro.chordal.minimal_separators import minimal_separator_masks
 from repro.chordal.triangulate import Triangulator
-from repro.core.extend import extend_parallel_set
+from repro.core.extend import (
+    extend_masks,
+    extend_parallel_set,  # noqa: F401  (perfbench/tracing.py patches this name)
+    extend_tier,
+)
 from repro.engine.base import BatchFailedError, EngineError
 from repro.engine.batching import AdaptiveBatcher
 from repro.engine.checkpoint import CheckpointError, CheckpointState
@@ -470,13 +474,14 @@ class MISCoordinator:
 
     def _seed(self) -> Answer:
         """Compute Extend(∅) locally — the first answer of the run."""
-        self._stats.extend_calls += 1
+        stats = self._stats
+        stats.extend_calls += 1
+        tier = "extend:" + extend_tier(self._triangulator)
+        stats.kernel_tiers[tier] = stats.kernel_tiers.get(tier, 0) + 1
         started = time.perf_counter_ns()
-        family = extend_parallel_set(
-            self._region, (), self._triangulator
-        )
-        self._stats.extend_time_ns += time.perf_counter_ns() - started
-        return frozenset(self._region.mask_of(sep) for sep in family)
+        family = extend_masks(self._region, (), self._triangulator)
+        stats.extend_time_ns += time.perf_counter_ns() - started
+        return frozenset(family)
 
     def _absorb(self, candidates, delta) -> list[Answer]:
         """Fold a batch result into (stats, seen, Q); return new answers."""

@@ -343,8 +343,8 @@ class WorkerState:
         region, sgr, separator_of = self._region(region_mask)
         sgr.attach_statistics(stats)
         has_edges_batch = sgr.has_edges_batch
+        extend_masks = sgr.extend_masks
         label_set = region.label_set
-        mask_of = region.mask_of
         clock = time.perf_counter_ns
         watchdog = self._watchdog
         out: list[tuple[int, ...]] = []
@@ -371,15 +371,17 @@ class WorkerState:
                 crossed = has_edges_batch(v, answer)
                 stats.crossing_time_ns += clock() - started
                 stats.edge_oracle_calls += len(answer)
-                kept = {u for u, edge in zip(answer, crossed) if not edge}
-                kept.add(v)
+                # Extend runs on the masks themselves: only the
+                # crossing oracle above needs the label sets.
+                kept = {
+                    u for u, edge in zip(answer_masks, crossed) if not edge
+                }
+                kept.add(v_mask)
                 stats.extend_calls += 1
                 started = clock()
-                extended = sgr.extend(frozenset(kept))
+                extended = extend_masks(kept)
                 stats.extend_time_ns += clock() - started
-                out.append(
-                    tuple(sorted(mask_of(sep) for sep in extended))
-                )
+                out.append(tuple(sorted(extended)))
         return out
 
     def run_batch(self, batch) -> "BatchResult | object":

@@ -42,6 +42,21 @@ def resolve_graph_backend(graph: Graph, backend: str | None = "auto"):
     return convert_graph(graph, backend)
 
 
+def fused_kernels():
+    """The native tier's module when its compiled kernels load, else None.
+
+    The fused layer steps (``extend_mcs_m``, ``component_neighbourhoods``)
+    run on every graph core once the extension is available; without it
+    (no compiler, no numpy, ``REPRO_NATIVE_DISABLE=1``) their callers run
+    the int-mask Python oracles instead.
+    """
+    try:
+        from repro.graph._native import native
+    except ImportError:
+        return None
+    return native if native.available() else None
+
+
 __all__ = [
     "Graph",
     "Node",
@@ -52,6 +67,7 @@ __all__ = [
     "iter_bits",
     "bit_list",
     "resolve_graph_backend",
+    "fused_kernels",
     "connected_components",
     "components_without",
     "component_of",

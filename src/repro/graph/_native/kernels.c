@@ -1,11 +1,17 @@
 /* Native word-matrix kernels — see kernels.h for the layout contract.
  *
- * The kernels mirror the numpy implementations in
+ * The per-step kernels mirror the numpy implementations in
  * repro/graph/bitset_np.py bit for bit; those stay the reference
  * oracles (pinned by tests/test_native_kernels.py and the --check
  * gates of the microbenchmarks).  What the C tier removes is the numpy
  * per-call dispatch and every intermediate array: each kernel is one
  * pass over the packed words with the loop fused end to end.
+ *
+ * The two fused layer steps at the bottom (extend_mcs_m,
+ * component_neighbourhoods) have no numpy twin: they mirror the
+ * int-mask Python pipelines they replace (repro/core/extend.py and
+ * repro/chordal/minimal_separators.py), which stay their oracles
+ * (tests/test_extend_kernels.py, microbench_extend.py --check).
  */
 
 #include <stdlib.h>
@@ -327,4 +333,427 @@ int64_t masked_rows_popcount(const uint64_t *matrix, int64_t words,
         }
     }
     return total;
+}
+
+/* ------------------------------------------------------------------
+ * Fused layer steps over a dense vertex numbering.
+ *
+ * A graph's k live vertices are renumbered 0..k-1 by label rank, so
+ * "lowest set bit" is "smallest label rank" and every scratch row is
+ * ceil(k / 64) words however sparse the caller's index space is.
+ * Rows crossing the boundary stay in the caller's index space
+ * (w_out words): live_sorted/live_dense translate them in (ascending
+ * caller indices and their dense numbers), order translates them out
+ * (order[d] = caller index of dense vertex d).
+ * ------------------------------------------------------------------ */
+
+#define ROW(matrix, i, words) ((matrix) + (int64_t)(i) * (words))
+
+static void dense_row_in(const uint64_t *row, int64_t w_out,
+                         const int64_t *live_sorted,
+                         const int64_t *live_dense, int64_t k,
+                         uint64_t *dense, int64_t wk) {
+    memset(dense, 0, (size_t)wk * 8);
+    int64_t lo = 0;
+    for (int64_t w = 0; w < w_out && lo < k; w++) {
+        uint64_t bits = row[w];
+        while (bits) {
+            int64_t index = (w << 6) + __builtin_ctzll(bits);
+            bits &= bits - 1;
+            /* Bits ascend, so the search window only shrinks. */
+            int64_t hi = k;
+            while (lo < hi) {
+                int64_t mid = (lo + hi) >> 1;
+                if (live_sorted[mid] < index) {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            if (lo == k) {
+                return;
+            }
+            if (live_sorted[lo] == index) {
+                int64_t d = live_dense[lo];
+                dense[d >> 6] |= 1ULL << (d & 63);
+            }
+        }
+    }
+}
+
+static void dense_row_out(const uint64_t *dense, int64_t wk,
+                          const int64_t *order, uint64_t *row,
+                          int64_t w_out) {
+    memset(row, 0, (size_t)w_out * 8);
+    for (int64_t w = 0; w < wk; w++) {
+        uint64_t bits = dense[w];
+        while (bits) {
+            int64_t index = order[(w << 6) + __builtin_ctzll(bits)];
+            bits &= bits - 1;
+            row[index >> 6] |= 1ULL << (index & 63);
+        }
+    }
+}
+
+void dense_rows(const uint64_t *rows, int64_t m, int64_t w_out,
+                const int64_t *live_sorted, const int64_t *live_dense,
+                int64_t k, uint64_t *out, int64_t wk) {
+    for (int64_t i = 0; i < m; i++) {
+        dense_row_in(ROW(rows, i, w_out), w_out, live_sorted, live_dense, k,
+                     ROW(out, i, wk), wk);
+    }
+}
+
+static int rows_equal(const uint64_t *a, const uint64_t *b, int64_t wk) {
+    for (int64_t w = 0; w < wk; w++) {
+        if (a[w] != b[w]) {
+            return 0;
+        }
+    }
+    return 1;
+}
+
+static int64_t first_bit(const uint64_t *a, int64_t wk) {
+    for (int64_t w = 0; w < wk; w++) {
+        if (a[w]) {
+            return (w << 6) + __builtin_ctzll(a[w]);
+        }
+    }
+    return -1;
+}
+
+/* Vertices bucketed by small integer weight: bucket rows, member
+ * counts and the running maximum, as in repro.graph.core's
+ * MaxWeightBuckets. */
+typedef struct {
+    uint64_t *rows;     /* (k + 1) x wk */
+    int64_t *count;     /* k + 1 */
+    int64_t *weight;    /* k */
+    int64_t max_weight;
+    int64_t wk;
+} buckets_t;
+
+static void buckets_reset(buckets_t *b, int64_t k) {
+    int64_t wk = b->wk;
+    memset(b->rows, 0, (size_t)((k + 1) * wk) * 8);
+    memset(b->count, 0, (size_t)(k + 1) * 8);
+    memset(b->weight, 0, (size_t)k * 8);
+    for (int64_t d = 0; d < k; d++) {
+        b->rows[d >> 6] |= 1ULL << (d & 63);
+    }
+    b->count[0] = k;
+    b->max_weight = 0;
+}
+
+/* Remove and return the smallest-rank vertex of the heaviest bucket. */
+static int64_t buckets_pop_max(buckets_t *b) {
+    while (b->count[b->max_weight] == 0) {
+        b->max_weight--;
+    }
+    uint64_t *row = ROW(b->rows, b->max_weight, b->wk);
+    int64_t v = first_bit(row, b->wk);
+    row[v >> 6] &= ~(1ULL << (v & 63));
+    b->count[b->max_weight]--;
+    return v;
+}
+
+static void buckets_bump_all(buckets_t *b, const uint64_t *mask) {
+    int64_t wk = b->wk;
+    for (int64_t w = 0; w < wk; w++) {
+        uint64_t bits = mask[w];
+        while (bits) {
+            uint64_t low = bits & -bits;
+            int64_t u = (w << 6) + __builtin_ctzll(bits);
+            bits ^= low;
+            int64_t old = b->weight[u];
+            ROW(b->rows, old, wk)[w] &= ~low;
+            ROW(b->rows, old + 1, wk)[w] |= low;
+            b->count[old]--;
+            b->count[old + 1]++;
+            b->weight[u] = old + 1;
+            if (old + 1 > b->max_weight) {
+                b->max_weight = old + 1;
+            }
+        }
+    }
+}
+
+/* OR the adjacency rows of every vertex of `members` into acc. */
+static void or_rows(const uint64_t *adj, int64_t wk, const uint64_t *members,
+                    uint64_t *acc) {
+    for (int64_t w = 0; w < wk; w++) {
+        uint64_t bits = members[w];
+        while (bits) {
+            const uint64_t *row = ROW(adj, (w << 6) + __builtin_ctzll(bits), wk);
+            bits &= bits - 1;
+            for (int64_t x = 0; x < wk; x++) {
+                acc[x] |= row[x];
+            }
+        }
+    }
+}
+
+/* The MCS-M update set of v (the threshold sweep of
+ * repro.chordal.triangulate._mcs_m_update_mask): unnumbered u reached
+ * from v through unnumbered vertices all lighter than u.  scratch
+ * holds 5 * wk words. */
+static void mcs_m_update(const uint64_t *adj, int64_t wk, const buckets_t *b,
+                         const uint64_t *avail, int64_t v, uint64_t *update,
+                         uint64_t *scratch) {
+    uint64_t *reached = scratch;
+    uint64_t *processed = scratch + wk;
+    uint64_t *weight_le = scratch + 2 * wk;
+    uint64_t *frontier = scratch + 3 * wk;
+    uint64_t *grown = scratch + 4 * wk;
+    const uint64_t *row_v = ROW(adj, v, wk);
+    int any = 0;
+    int full = 1;
+    for (int64_t w = 0; w < wk; w++) {
+        reached[w] = row_v[w] & avail[w];
+        update[w] = reached[w];
+        any |= reached[w] != 0;
+        full &= reached[w] == avail[w];
+        processed[w] = 0;
+        weight_le[w] = 0;
+    }
+    if (!any || full) {
+        return;
+    }
+    for (int64_t t = 0; t <= b->max_weight; t++) {
+        if (b->count[t] == 0) {
+            continue;
+        }
+        const uint64_t *bucket = ROW(b->rows, t, wk);
+        for (int64_t w = 0; w < wk; w++) {
+            weight_le[w] |= bucket[w];
+        }
+        for (;;) {
+            int grow = 0;
+            for (int64_t w = 0; w < wk; w++) {
+                frontier[w] = reached[w] & weight_le[w] & ~processed[w];
+                processed[w] |= frontier[w];
+                grow |= frontier[w] != 0;
+            }
+            if (!grow) {
+                break;
+            }
+            memset(grown, 0, (size_t)wk * 8);
+            or_rows(adj, wk, frontier, grown);
+            for (int64_t w = 0; w < wk; w++) {
+                uint64_t fresh = grown[w] & avail[w] & ~reached[w];
+                reached[w] |= fresh;
+                update[w] |= fresh & ~weight_le[w];
+            }
+        }
+        if (rows_equal(reached, avail, wk)) {
+            break;
+        }
+    }
+}
+
+int64_t extend_mcs_m(const uint64_t *adj, int64_t k, int64_t wk,
+                     const int64_t *live_sorted, const int64_t *live_dense,
+                     const int64_t *order, int64_t w_out,
+                     const uint64_t *phi, int64_t m, uint64_t *out,
+                     int64_t *roots_out) {
+    *roots_out = 0;
+    if (k == 0) {
+        return 0;
+    }
+    size_t matrix_words = (size_t)(k * wk);
+    size_t bucket_words = (size_t)((k + 1) * wk);
+    uint64_t *sat = malloc(matrix_words * 8);
+    uint64_t *filled = malloc(matrix_words * 8);
+    uint64_t *cliques = malloc(matrix_words * 8);
+    uint64_t *bucket_rows = malloc(bucket_words * 8);
+    uint64_t *rows = malloc((size_t)wk * 9 * 8);
+    int64_t *ints = malloc((size_t)(4 * k + 1) * 8);
+    if (!sat || !filled || !cliques || !bucket_rows || !rows || !ints) {
+        free(sat);
+        free(filled);
+        free(cliques);
+        free(bucket_rows);
+        free(rows);
+        free(ints);
+        return -2;
+    }
+    uint64_t *open = rows;            /* unnumbered / unvisited */
+    uint64_t *update = rows + wk;
+    uint64_t *sweep = rows + 2 * wk;  /* 5 * wk words */
+    uint64_t *seen = rows + 7 * wk;   /* a phi row, then the visited set */
+    uint64_t *nbrs = rows + 8 * wk;
+    buckets_t b = {bucket_rows, ints, ints + k + 1, 0, wk};
+    int64_t *stamp = ints + 2 * k + 1;
+    int64_t *clique_of = ints + 3 * k + 1;
+
+    /* g[phi]: saturate every separator on a scratch copy. */
+    memcpy(sat, adj, matrix_words * 8);
+    for (int64_t s = 0; s < m; s++) {
+        dense_row_in(ROW(phi, s, w_out), w_out, live_sorted, live_dense, k,
+                     seen, wk);
+        for (int64_t w = 0; w < wk; w++) {
+            uint64_t bits = seen[w];
+            while (bits) {
+                int64_t u = (w << 6) + __builtin_ctzll(bits);
+                bits &= bits - 1;
+                uint64_t *row = ROW(sat, u, wk);
+                for (int64_t x = 0; x < wk; x++) {
+                    row[x] |= seen[x];
+                }
+                row[u >> 6] &= ~(1ULL << (u & 63));
+            }
+        }
+    }
+
+    /* MCS-M on g[phi]; the fill goes into a second copy. */
+    memcpy(filled, sat, matrix_words * 8);
+    buckets_reset(&b, k);
+    memcpy(open, bucket_rows, (size_t)wk * 8);
+    for (int64_t step = 0; step < k; step++) {
+        int64_t v = buckets_pop_max(&b);
+        open[v >> 6] &= ~(1ULL << (v & 63));
+        mcs_m_update(sat, wk, &b, open, v, update, sweep);
+        buckets_bump_all(&b, update);
+        const uint64_t *row_v = ROW(sat, v, wk);
+        uint64_t *fill_v = ROW(filled, v, wk);
+        for (int64_t w = 0; w < wk; w++) {
+            uint64_t bits = update[w] & ~row_v[w];
+            fill_v[w] |= bits;
+            while (bits) {
+                int64_t u = (w << 6) + __builtin_ctzll(bits);
+                bits &= bits - 1;
+                ROW(filled, u, wk)[v >> 6] |= 1ULL << (v & 63);
+            }
+        }
+    }
+
+    /* Clique-forest MCS on g[phi] + fill (repro.chordal.cliques). */
+    buckets_reset(&b, k);
+    memcpy(open, bucket_rows, (size_t)wk * 8);
+    memset(seen, 0, (size_t)wk * 8);
+    int64_t n_cliques = 0;
+    int64_t current = -1;
+    int64_t prev_card = -1;
+    int64_t n_out = 0;
+    int64_t status = 0;
+    for (int64_t step = 0; step < k; step++) {
+        int64_t node = buckets_pop_max(&b);
+        const uint64_t *row = ROW(filled, node, wk);
+        int64_t card = 0;
+        for (int64_t w = 0; w < wk; w++) {
+            nbrs[w] = row[w] & seen[w];
+            card += __builtin_popcountll(nbrs[w]);
+        }
+        if (card == prev_card + 1 && current >= 0) {
+            uint64_t *clique = ROW(cliques, current, wk);
+            if (!rows_equal(nbrs, clique, wk)) {
+                status = -1;  /* clique-continuation invariant */
+                break;
+            }
+            clique[node >> 6] |= 1ULL << (node & 63);
+        } else {
+            if (card > 0) {
+                int64_t last = -1;
+                for (int64_t w = 0; w < wk; w++) {
+                    uint64_t bits = nbrs[w];
+                    while (bits) {
+                        int64_t u = (w << 6) + __builtin_ctzll(bits);
+                        bits &= bits - 1;
+                        if (last < 0 || stamp[u] > stamp[last]) {
+                            last = u;
+                        }
+                    }
+                }
+                const uint64_t *parent = ROW(cliques, clique_of[last], wk);
+                int subset = 1;
+                for (int64_t w = 0; w < wk; w++) {
+                    subset &= (nbrs[w] & ~parent[w]) == 0;
+                }
+                if (!subset) {
+                    status = -1;  /* parent-clique invariant */
+                    break;
+                }
+                dense_row_out(nbrs, wk, order, ROW(out, n_out, w_out), w_out);
+                n_out++;
+            } else {
+                (*roots_out)++;
+            }
+            uint64_t *clique = ROW(cliques, n_cliques, wk);
+            memcpy(clique, nbrs, (size_t)wk * 8);
+            clique[node >> 6] |= 1ULL << (node & 63);
+            current = n_cliques++;
+        }
+        clique_of[node] = current;
+        stamp[node] = step;
+        seen[node >> 6] |= 1ULL << (node & 63);
+        open[node >> 6] &= ~(1ULL << (node & 63));
+        prev_card = card;
+        for (int64_t w = 0; w < wk; w++) {
+            update[w] = row[w] & open[w];
+        }
+        buckets_bump_all(&b, update);
+    }
+    free(sat);
+    free(filled);
+    free(cliques);
+    free(bucket_rows);
+    free(rows);
+    free(ints);
+    return status < 0 ? status : n_out;
+}
+
+int64_t component_neighbourhoods(const uint64_t *adj, int64_t k, int64_t wk,
+                                 const int64_t *live_sorted,
+                                 const int64_t *live_dense,
+                                 const int64_t *order, int64_t w_out,
+                                 const uint64_t *removed, uint64_t *out) {
+    if (k == 0) {
+        return 0;
+    }
+    uint64_t *rows = malloc((size_t)wk * 5 * 8);
+    if (rows == NULL) {
+        return -2;
+    }
+    uint64_t *remaining = rows;
+    uint64_t *component = rows + wk;
+    uint64_t *frontier = rows + 2 * wk;
+    uint64_t *reach = rows + 3 * wk;
+    uint64_t *grown = rows + 4 * wk;
+    dense_row_in(removed, w_out, live_sorted, live_dense, k, component, wk);
+    for (int64_t w = 0; w < wk; w++) {
+        int64_t low = w << 6;
+        uint64_t live = k - low >= 64 ? ~0ULL : (1ULL << (k - low)) - 1;
+        remaining[w] = live & ~component[w];
+    }
+    int64_t n_out = 0;
+    int64_t seed;
+    while ((seed = first_bit(remaining, wk)) >= 0) {
+        /* Components start at their smallest label rank. */
+        memset(component, 0, (size_t)wk * 8);
+        memset(reach, 0, (size_t)wk * 8);
+        component[seed >> 6] = 1ULL << (seed & 63);
+        memcpy(frontier, component, (size_t)wk * 8);
+        for (;;) {
+            memset(grown, 0, (size_t)wk * 8);
+            or_rows(adj, wk, frontier, grown);
+            int any = 0;
+            for (int64_t w = 0; w < wk; w++) {
+                reach[w] |= grown[w];
+                frontier[w] = grown[w] & remaining[w] & ~component[w];
+                component[w] |= frontier[w];
+                any |= frontier[w] != 0;
+            }
+            if (!any) {
+                break;
+            }
+        }
+        for (int64_t w = 0; w < wk; w++) {
+            remaining[w] &= ~component[w];
+            reach[w] &= ~component[w];
+        }
+        dense_row_out(reach, wk, order, ROW(out, n_out, w_out), w_out);
+        n_out++;
+    }
+    free(rows);
+    return n_out;
 }

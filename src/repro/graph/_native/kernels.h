@@ -20,7 +20,7 @@
 
 #include <stdint.h>
 
-#define REPRO_KERNELS_ABI_VERSION 1
+#define REPRO_KERNELS_ABI_VERSION 2
 
 int repro_kernels_abi_version(void);
 
@@ -103,5 +103,41 @@ int64_t mask_row_indices(const uint64_t *mask_row, int64_t words,
  * the number of adjacency bits present inside a clique candidate. */
 int64_t masked_rows_popcount(const uint64_t *matrix, int64_t words,
                              const uint64_t *mask_row);
+
+/* ---- Fused layer steps (dense numbering, see kernels.c) ----
+ *
+ * adj is the (k, wk) adjacency of the k live vertices numbered by
+ * label rank.  Rows crossing the boundary (phi, removed, out) are in
+ * the caller's index space, w_out words each; live_sorted[] holds the
+ * live caller indices ascending with live_dense[] their dense numbers,
+ * and order[d] is the caller index of dense vertex d.  Both return -2
+ * on scratch allocation failure and free all scratch before returning.
+ */
+
+/* Translate m caller-space rows into dense rows (out: m x wk). */
+void dense_rows(const uint64_t *rows, int64_t m, int64_t w_out,
+                const int64_t *live_sorted, const int64_t *live_dense,
+                int64_t k, uint64_t *out, int64_t wk);
+
+/* Extend (paper Fig. 3) with MCS-M: saturate the m separator rows of
+ * phi on a scratch copy, run MCS-M, then the MCS clique-forest scan of
+ * g[phi] + fill.  Writes one separator row per non-root clique to out
+ * (at most k - 1 rows, clique creation order, duplicates kept), the
+ * number of clique-tree roots to *roots_out, and returns the number of
+ * rows written — or -1 when a chordality invariant of the scan fails. */
+int64_t extend_mcs_m(const uint64_t *adj, int64_t k, int64_t wk,
+                     const int64_t *live_sorted, const int64_t *live_dense,
+                     const int64_t *order, int64_t w_out,
+                     const uint64_t *phi, int64_t m, uint64_t *out,
+                     int64_t *roots_out);
+
+/* N(C) for every component C of g minus the removed row, components
+ * in order of their smallest label rank; out holds at most k rows.
+ * Returns the number of rows written. */
+int64_t component_neighbourhoods(const uint64_t *adj, int64_t k, int64_t wk,
+                                 const int64_t *live_sorted,
+                                 const int64_t *live_dense,
+                                 const int64_t *order, int64_t w_out,
+                                 const uint64_t *removed, uint64_t *out);
 
 #endif /* REPRO_NATIVE_KERNELS_H */

@@ -46,6 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.errors import NotChordalError
 from repro.graph import bitset_np as _np_kernels
 from repro.graph.bitset_np import (
     BATCH_MIN,  # noqa: F401  (kernel-namespace surface: callers read ns.BATCH_MIN)
@@ -72,10 +73,23 @@ __all__ = [
     "weight_level_rows",
     "mask_to_indices",
     "clique_present_sum",
+    "PackedGraph",
+    "extend_mcs_m",
+    "component_neighbourhoods",
 ]
 
+#: The fused layer steps have no numpy twin: each pairs with the
+#: int-mask Python pipeline it replaces, which stays its oracle
+#: (``<path under repro/>:<function>``; checked by `repro analyze`).
+FUSED_ORACLES = {
+    "extend_mcs_m": "core/extend.py:extend_masks_reference",
+    "component_neighbourhoods": (
+        "chordal/minimal_separators.py:component_neighbourhoods_reference"
+    ),
+}
+
 _SOURCE_DIR = Path(__file__).resolve().parent
-_ABI_VERSION = 1
+_ABI_VERSION = 2
 
 #: Environment variable that forces :func:`available` to False.
 DISABLE_ENV = "REPRO_NATIVE_DISABLE"
@@ -128,6 +142,19 @@ int64_t mask_row_indices(const uint64_t *mask_row, int64_t words,
                          int64_t *out);
 int64_t masked_rows_popcount(const uint64_t *matrix, int64_t words,
                              const uint64_t *mask_row);
+void dense_rows(const uint64_t *rows, int64_t m, int64_t w_out,
+                const int64_t *live_sorted, const int64_t *live_dense,
+                int64_t k, uint64_t *out, int64_t wk);
+int64_t extend_mcs_m(const uint64_t *adj, int64_t k, int64_t wk,
+                     const int64_t *live_sorted, const int64_t *live_dense,
+                     const int64_t *order, int64_t w_out,
+                     const uint64_t *phi, int64_t m, uint64_t *out,
+                     int64_t *roots_out);
+int64_t component_neighbourhoods(const uint64_t *adj, int64_t k, int64_t wk,
+                                 const int64_t *live_sorted,
+                                 const int64_t *live_dense,
+                                 const int64_t *order, int64_t w_out,
+                                 const uint64_t *removed, uint64_t *out);
 """
 
 _CFLAGS = ["-O3", "-std=c11", "-fPIC", "-shared"]
@@ -147,6 +174,8 @@ KERNEL_NAMES = (
     "mcs_queue_bump",
     "mask_to_indices",
     "clique_present_sum",
+    "extend_mcs_m",
+    "component_neighbourhoods",
 )
 
 _WORD_DTYPE = np.dtype("<u8")
@@ -310,8 +339,14 @@ def kernel_info() -> dict:
             info["built"] = artifact.exists()
         except Exception as exc:  # pragma: no cover - exotic toolchains
             info["reason"] = info["reason"] or str(exc)
-    tier = "native" if info["available"] else "numpy"
-    info["kernels"] = {name: tier for name in KERNEL_NAMES}
+    if info["available"]:
+        info["kernels"] = {name: "native" for name in KERNEL_NAMES}
+    else:
+        # A fused step degrades to its int-mask oracle, not to numpy.
+        info["kernels"] = {
+            name: "int-mask" if name in FUSED_ORACLES else "numpy"
+            for name in KERNEL_NAMES
+        }
     return info
 
 
@@ -605,6 +640,122 @@ class NativeMCSQueue(_NumpyMCSQueue):
 
 #: The namespace name the chordal layer constructs queues through.
 PackedMCSQueue = NativeMCSQueue
+
+
+# ----------------------------------------------------------------------
+# Fused layer steps
+# ----------------------------------------------------------------------
+
+
+class PackedGraph:
+    """A graph packed for :func:`extend_mcs_m` and
+    :func:`component_neighbourhoods`; build it once per graph.
+
+    The k live vertices are renumbered 0..k-1 by label rank, so every
+    row the kernels touch is ``ceil(k / 64)`` words and "lowest set
+    bit" is the label-order tie-break of the Python searches.  A
+    component subgraph that keeps its parent's index space therefore
+    costs its live vertices, not the parent's slots.  Masks cross the
+    boundary in the graph's own index space, ``out_words`` words each
+    (enough for the highest live index).  The output buffer is reused
+    by every call, so a PackedGraph serves one thread at a time.
+    """
+
+    __slots__ = ("k", "words", "out_words", "span", "_args", "_out", "_out_ptr")
+
+    def __init__(self, graph) -> None:
+        ffi, lib = _lib()
+        order = graph.sorted_indices()
+        ranks = graph.ranks()
+        adj = graph.core.adj
+        k = len(order)
+        self.k = k
+        self.words = max(1, -(-k // WORD_BITS))
+        self.out_words = (max(order) // WORD_BITS + 1) if k else 1
+        #: Caller-space bits beyond the highest live index are dropped.
+        self.span = (1 << (self.out_words * WORD_BITS)) - 1
+        row_bytes = self.out_words * 8
+        live_sorted = _as_i64(sorted(order))
+        live_dense = _as_i64([ranks[i] for i in live_sorted])
+        order_arr = _as_i64(order)
+        matrix = np.zeros((k, self.words), dtype=_WORD_DTYPE)
+        if k:
+            rows = b"".join(adj[i].to_bytes(row_bytes, "little") for i in order)
+            lib.dense_rows(
+                _u64(ffi, rows), k, self.out_words,
+                _i64(ffi, live_sorted), _i64(ffi, live_dense), k,
+                _u64_mut(ffi, matrix), self.words,
+            )
+        # The cdata pointers keep their arrays alive, and the arrays
+        # never reallocate: the argument tuple is built once.
+        self._args = (
+            _u64(ffi, matrix), k, self.words,
+            _i64(ffi, live_sorted), _i64(ffi, live_dense),
+            _i64(ffi, order_arr), self.out_words,
+        )
+        self._out = bytearray(max(k, 1) * row_bytes)
+        self._out_ptr = _u64_mut(ffi, self._out)
+
+    def _rows(self, count: int) -> list[int]:
+        row_bytes = self.out_words * 8
+        view = memoryview(self._out)
+        return [
+            int.from_bytes(view[i * row_bytes:(i + 1) * row_bytes], "little")
+            for i in range(count)
+        ]
+
+
+def extend_mcs_m(packed: PackedGraph, separators) -> list[int]:
+    """Fused Extend with MCS-M: one C call per Extend.
+
+    Saturates the separator masks, runs MCS-M and the clique-forest
+    scan of g[φ] + fill, and returns the distinct minimal separators of
+    the result in clique-creation order, with the empty separator (0)
+    last when the graph is disconnected — exactly the output of the
+    int-mask oracle :func:`repro.core.extend.extend_masks_reference`.
+    """
+    ffi, lib = _lib()
+    row_bytes = packed.out_words * 8
+    span = packed.span
+    phi = b"".join(
+        (mask & span).to_bytes(row_bytes, "little") for mask in separators
+    )
+    roots = ffi.new("int64_t *")
+    count = lib.extend_mcs_m(
+        *packed._args,
+        _u64(ffi, phi) if phi else ffi.NULL,
+        len(phi) // row_bytes,
+        packed._out_ptr,
+        roots,
+    )
+    if count == -1:
+        raise NotChordalError(
+            "g[phi] + MCS-M fill is not chordal "
+            "(MCS clique-forest invariant failed)"
+        )
+    if count < 0:  # pragma: no cover - scratch malloc failure
+        raise MemoryError("extend_mcs_m: scratch allocation failed")
+    result = list(dict.fromkeys(packed._rows(count)))
+    if roots[0] > 1:
+        result.append(0)
+    return result
+
+
+def component_neighbourhoods(packed: PackedGraph, removed: int) -> list[int]:
+    """N(C) for every component C of g minus ``removed``, in order of
+    each component's smallest label rank — the inner step of the
+    minimal-separator generator, one C call per removed set.  Oracle:
+    :func:`repro.chordal.minimal_separators.component_neighbourhoods_reference`.
+    """
+    ffi, lib = _lib()
+    count = lib.component_neighbourhoods(
+        *packed._args,
+        _u64(ffi, (removed & packed.span).to_bytes(packed.out_words * 8, "little")),
+        packed._out_ptr,
+    )
+    if count < 0:  # pragma: no cover - scratch malloc failure
+        raise MemoryError("component_neighbourhoods: scratch allocation failed")
+    return packed._rows(count)
 
 
 class NativeGraphCore(NumpyGraphCore):

@@ -12,9 +12,10 @@ The three SGR components:
   (polynomial delay, Berry et al.);
 * ``A_E``  — :func:`repro.chordal.minimal_separators.are_crossing`
   (polynomial time);
-* expansion — :func:`repro.core.extend.extend_parallel_set`
+* expansion — :func:`repro.core.extend.extend_masks`
   (Figure 3 of the paper), parameterised by any triangulation
-  heuristic.
+  heuristic; one fused native call per Extend for MCS-M when the
+  compiled kernels are available.
 
 Tractable expansion holds because a chordal graph has fewer minimal
 separators than nodes (Rose; paper Corollary 4.3), so every
@@ -60,14 +61,15 @@ behaviour.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from repro.chordal.minimal_separators import (
     BATCH_KERNEL_MIN as _BATCH_KERNEL_MIN,
     minimal_separator_masks,
 )
 from repro.chordal.triangulate import Triangulator, get_triangulator
-from repro.core.extend import extend_parallel_set
+from repro.core.extend import extend_masks, extend_tier
+from repro.graph import fused_kernels
 from repro.graph.graph import Graph, Node
 from repro.sgr.base import SuccinctGraphRepresentation
 from repro.sgr.enum_mis import EnumMISStatistics
@@ -128,6 +130,13 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         # hot loops hash machine ints, never |V|-bit masks.
         self._sep_id: dict[Separator, int] = {}
         self._id_mask: list[int] = []
+        # mask → separator frozenset, so Extend results translate back
+        # to labels once per distinct separator, not once per call.
+        self._mask_sep: dict[int, Separator] = {}
+        # The graph packed for the fused native kernels (None: not built
+        # yet; False: the kernels are unavailable on this host).
+        self._packed = None
+        self._extend_tier = "extend:" + extend_tier(self._triangulator)
         # id → packed uint64 row of the separator mask (kernel builds
         # batch remainders by fancy-indexing this matrix, no per-pair
         # int→bytes conversion); grown geometrically on intern.
@@ -161,6 +170,20 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
     def triangulator(self) -> Triangulator:
         """The triangulation heuristic used by :meth:`extend`."""
         return self._triangulator
+
+    @property
+    def packed_graph(self):
+        """The graph packed for the fused native kernels, built once.
+
+        ``None`` when the compiled kernels are unavailable; the SGR's
+        separator generator and Extend then run the int-mask oracles.
+        """
+        if self._packed is None:
+            native = fused_kernels()
+            self._packed = (
+                native.PackedGraph(self._graph) if native is not None else False
+            )
+        return self._packed or None
 
     @property
     def edge_cache_size(self) -> int:
@@ -257,11 +280,17 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         ``has_edge`` calls on yielded separators skip the label → mask
         translation entirely.
         """
-        graph = self._graph
-        for mask in minimal_separator_masks(graph):
-            separator = graph.label_set(mask)
+        for mask in minimal_separator_masks(self._graph, self.packed_graph):
+            separator = self._separator_of(mask)
             self._intern_id(separator, mask)
             yield separator
+
+    def _separator_of(self, mask: int) -> Separator:
+        separator = self._mask_sep.get(mask)
+        if separator is None:
+            separator = self._graph.label_set(mask)
+            self._mask_sep[mask] = separator
+        return separator
 
     def has_edge(self, u: Separator, v: Separator) -> bool:
         """Return whether two minimal separators cross (``u ♮ v``).
@@ -439,4 +468,21 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
 
     def extend(self, independent_set: frozenset[Separator]) -> frozenset[Separator]:
         """Extend a pairwise-parallel family to a maximal one (Figure 3)."""
-        return extend_parallel_set(self._graph, independent_set, self._triangulator)
+        intern = self._intern
+        masks = self.extend_masks([intern(sep) for sep in independent_set])
+        separator_of = self._separator_of
+        return frozenset(separator_of(mask) for mask in masks)
+
+    def extend_masks(self, masks: Iterable[int]) -> list[int]:
+        """:meth:`extend` on separator masks, with the packed graph cached.
+
+        Counts the call under ``extend:native`` or ``extend:indexed`` in
+        the attached statistics' ``kernel_tiers``.
+        """
+        stats = self._stats
+        if stats is not None:
+            tiers = stats.kernel_tiers
+            tiers[self._extend_tier] = tiers.get(self._extend_tier, 0) + 1
+        return extend_masks(
+            self._graph, masks, self._triangulator, self.packed_graph
+        )

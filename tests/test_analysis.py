@@ -408,6 +408,67 @@ class TestKernelParityRule:
         ]
         assert any("cdef.lock is stale" in m for m in messages)
 
+    def test_fused_kernel_needs_a_named_int_mask_oracle(self, tmp_path):
+        native = """\
+        _ABI_VERSION = 3
+        _CDEF = \"\"\"
+        int popcount_rows(const uint64_t *rows, int n);
+        int extend_step(const uint64_t *adj, int n);
+        int sweep_step(const uint64_t *adj, int n);
+        \"\"\"
+        __all__ = ["popcount_rows", "extend_step", "sweep_step", "orphan"]
+        FUSED_ORACLES = {
+            "extend_step": "core/extend.py:extend_reference",
+            "sweep_step": "core/sweep.py:missing_reference",
+            "ghost_step": "core/extend.py:extend_reference",
+        }
+        """
+        cdef = (
+            "int popcount_rows(const uint64_t *rows, int n);\n"
+            "int extend_step(const uint64_t *adj, int n);\n"
+            "int sweep_step(const uint64_t *adj, int n);\n"
+        )
+        write_tree(
+            tmp_path,
+            self.tree(
+                **{
+                    "graph/_native/native.py": native,
+                    "graph/_native/kernels.c": (
+                        self.KERNELS_C
+                        + "int extend_step(const uint64_t *a, int n) { return 0; }\n"
+                        + "int sweep_step(const uint64_t *a, int n) { return 0; }\n"
+                    ),
+                    "graph/_native/cdef.lock": render_lock(3, cdef),
+                    "core/extend.py": "def extend_reference(g, masks):\n    return []\n",
+                    "core/sweep.py": "def other(g):\n    return []\n",
+                }
+            ),
+        )
+        messages = [
+            f.message for f in findings_for(tmp_path, "kernel-parity")
+        ]
+        # A paired fused kernel needs no numpy twin ...
+        assert not any("'extend_step'" in m for m in messages)
+        # ... but its oracle must exist,
+        assert any(
+            "'sweep_step' names int-mask oracle" in m
+            and "does not exist" in m
+            for m in messages
+        )
+        # every listed kernel must be exported and declared,
+        assert any(
+            "FUSED_ORACLES lists 'ghost_step'" in m for m in messages
+        )
+        assert any(
+            "fused kernel 'ghost_step' is not declared in the cdef" in m
+            for m in messages
+        )
+        # and an unpaired export still needs its numpy fallback.
+        assert any(
+            "'orphan' has no same-named numpy fallback" in m for m in messages
+        )
+        assert len(messages) == 4
+
     def test_whitespace_insensitive_digest(self):
         from repro.analysis.rules.kernel_parity import cdef_digest
 

@@ -152,9 +152,23 @@ class TestEquality:
         )
         stats = result.stats
         assert stats.worker_joins >= 1
-        assert sum(stats.kernel_tiers.values()) == stats.batches_dispatched
+        # Batch tiers (one stamp per batch) and Extend tiers (one per
+        # Extend call, "extend:<tier>") share the kernel_tiers map.
+        batch_tiers = {
+            tier: count
+            for tier, count in stats.kernel_tiers.items()
+            if not tier.startswith("extend:")
+        }
+        extend_tiers = {
+            tier: count
+            for tier, count in stats.kernel_tiers.items()
+            if tier.startswith("extend:")
+        }
+        assert sum(batch_tiers.values()) == stats.batches_dispatched
         # graph_backend="numpy" forces the packed tier on every host.
-        assert set(stats.kernel_tiers) <= {"numpy", "native"}
+        assert set(batch_tiers) <= {"numpy", "native"}
+        assert sum(extend_tiers.values()) == stats.extend_calls
+        assert set(extend_tiers) <= {"extend:native", "extend:indexed"}
 
     def test_unconfigured_backend_is_a_typed_error(self):
         graph = gnp_random_graph(6, 0.5, seed=3)

@@ -12,10 +12,16 @@ each kernel in isolation.
 
 from __future__ import annotations
 
+import contextlib
+import importlib
+import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import small_chordal_graphs, small_random_graphs
 from repro.chordal.chordal_separators import (
@@ -23,6 +29,10 @@ from repro.chordal.chordal_separators import (
     minimal_separators_of_chordal,
 )
 from repro.chordal.cliques import mcs_clique_forest
+from repro.chordal.minimal_separators import (
+    component_neighbourhoods_reference,
+    minimal_separator_masks,
+)
 from repro.chordal.peo import (
     is_perfect_elimination_ordering,
     maximum_cardinality_search,
@@ -34,8 +44,15 @@ from repro.chordal.triangulate import (
     min_degree_order,
     min_fill_order,
 )
-from repro.core.extend import extend_parallel_set
-from repro.graph import resolve_graph_backend
+from repro.core.enumerate import enumerate_minimal_triangulations
+from repro.core.extend import (
+    extend_masks,
+    extend_masks_reference,
+    extend_parallel_set,
+    extend_tier,
+)
+from repro.engine import EnumerationEngine, EnumerationJob
+from repro.graph import connected_components, fused_kernels, resolve_graph_backend
 from repro.graph.bitset_np import (
     NumpyGraphCore,
     PackedMCSQueue,
@@ -52,6 +69,18 @@ from repro.graph.bitset_np import (
 )
 from repro.graph.core import IndexedGraph, MaxWeightBuckets
 from repro.graph.generators import cycle_graph, gnp_random_graph
+from repro.graph.graph import Graph
+from repro.sgr.enum_mis import (
+    EnumMISStatistics,
+    enumerate_maximal_independent_sets,
+)
+from repro.sgr.separator_graph import MinimalSeparatorSGR
+
+if fused_kernels() is not None:
+    from repro.graph._native.native import (
+        PackedGraph,
+        component_neighbourhoods,
+    )
 
 
 def both_backends(graph):
@@ -147,30 +176,38 @@ class TestPeoAndForestEquivalence:
 
 
 class TestExtendEquivalence:
+    # The per-step pipeline on each core: the fused native Extend is
+    # pinned separately against the same oracle (TestFusedStepParity).
     def test_extend_of_empty_family_matches(self):
         for graph in CORPUS:
             indexed, packed = both_backends(graph)
-            assert extend_parallel_set(indexed, ()) == extend_parallel_set(
-                packed, ()
-            )
+            assert extend_masks_reference(
+                indexed, ()
+            ) == extend_masks_reference(packed, ())
 
     def test_extend_of_partial_family_matches(self):
         for graph in CORPUS[:6]:
-            family = sorted(
-                extend_parallel_set(graph, ()), key=sorted
-            )[: max(1, graph.num_nodes // 4)]
+            family = sorted(extend_masks_reference(graph, ()))[
+                : max(1, graph.num_nodes // 4)
+            ]
             indexed, packed = both_backends(graph)
-            assert extend_parallel_set(
+            assert extend_masks_reference(
                 indexed, family
-            ) == extend_parallel_set(packed, family)
+            ) == extend_masks_reference(packed, family)
 
     def test_extend_per_triangulator_matches(self):
         for graph in CORPUS[:6]:
             indexed, packed = both_backends(graph)
             for triangulator in ("mcs_m", "lb_triang", "min_fill"):
-                assert extend_parallel_set(
+                assert extend_masks_reference(
                     indexed, (), triangulator
-                ) == extend_parallel_set(packed, (), triangulator)
+                ) == extend_masks_reference(packed, (), triangulator)
+
+    def test_label_level_extend_matches_masks(self):
+        for graph in CORPUS[:6]:
+            assert extend_parallel_set(graph, ()) == frozenset(
+                graph.label_set(mask) for mask in extend_masks(graph, ())
+            )
 
 
 class TestKernelUnits:
@@ -300,3 +337,204 @@ class TestKernelUnits:
             scalar.bump_all(bump, scalar_weights)
             packed.bump_mask(bump)
             assert scalar_weights == packed.weights.tolist()
+
+
+# ----------------------------------------------------------------------
+# Fused native steps vs their int-mask oracles
+# ----------------------------------------------------------------------
+
+_FUSED_USERS = (
+    "repro.core.extend",
+    "repro.chordal.minimal_separators",
+    "repro.sgr.separator_graph",
+)
+
+needs_native = pytest.mark.skipif(
+    fused_kernels() is None, reason="native extension unavailable"
+)
+
+
+@contextlib.contextmanager
+def int_mask_path():
+    """Run Extend and separator generation on the int-mask oracles."""
+    with contextlib.ExitStack() as stack:
+        for name in _FUSED_USERS:
+            stack.enter_context(
+                mock.patch.object(
+                    importlib.import_module(name), "fused_kernels", lambda: None
+                )
+            )
+        yield
+
+
+def oracle_separators(graph, limit=None):
+    with int_mask_path():
+        return list(itertools.islice(minimal_separator_masks(graph), limit))
+
+
+def fused_separators(graph, limit=None):
+    return list(itertools.islice(minimal_separator_masks(graph), limit))
+
+
+def assert_extend_parity(graph, phi):
+    assert extend_masks(graph, phi) == extend_masks_reference(graph, phi)
+
+
+@st.composite
+def hypothesis_graphs(draw, max_nodes: int = 10):
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    graph = Graph(nodes=range(n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        graph.add_edges(
+            draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+        )
+    # Drop a few vertices so the index space has dead slots.
+    dead = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n // 2))
+    return graph.without_nodes(dead)
+
+
+@needs_native
+class TestFusedStepParity:
+    @settings(max_examples=150, deadline=None)
+    @given(hypothesis_graphs())
+    def test_hypothesis_graphs(self, graph):
+        assert fused_separators(graph) == oracle_separators(graph)
+        family = extend_masks_reference(graph, ())
+        assert extend_masks(graph, ()) == family
+        assert_extend_parity(graph, family[: len(family) // 2])
+
+    @pytest.mark.parametrize("index", range(len(CORPUS)))
+    def test_property_corpus(self, index):
+        graph = CORPUS[index]
+        assert fused_separators(graph, 400) == oracle_separators(graph, 400)
+        for core in both_backends(graph) + (
+            resolve_graph_backend(graph, "native"),
+        ):
+            family = extend_masks_reference(core, ())
+            assert extend_masks(core, ()) == family
+            assert_extend_parity(core, family[::2])
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129])
+    def test_word_boundaries(self, n):
+        for p in (0.05, 0.3):
+            graph = gnp_random_graph(n, p, seed=n)
+            assert fused_separators(graph, 150) == oracle_separators(graph, 150)
+            family = extend_masks_reference(graph, ())
+            assert extend_masks(graph, ()) == family
+            assert_extend_parity(graph, family[1::2])
+
+    def test_phi_from_real_enum_mis_runs(self):
+        recorded: list[list[int]] = []
+
+        class Recording(MinimalSeparatorSGR):
+            def extend_masks(self, masks):
+                recorded.append(list(masks))
+                return super().extend_masks(masks)
+
+        for graph in (gnp_random_graph(14, 0.3, seed=5), cycle_graph(9)):
+            recorded.clear()
+            answers = list(
+                itertools.islice(
+                    enumerate_maximal_independent_sets(Recording(graph)), 60
+                )
+            )
+            assert answers and len(recorded) > len(answers) // 2
+            for phi in recorded:
+                assert_extend_parity(graph, phi)
+
+    def test_component_subgraphs_keep_dead_slots(self):
+        # Components keep the parent's index space: the high slots of a
+        # 1049-slot graph must neither confuse nor inflate the kernels.
+        graph = gnp_random_graph(1049, 0.0015, seed=11)
+        for nodes in connected_components(graph)[-6:]:
+            region = graph.subgraph(nodes)
+            packed = PackedGraph(region)
+            assert packed.k == region.num_nodes
+            assert packed.words == max(1, -(-region.num_nodes // 64))
+            assert fused_separators(region, 100) == oracle_separators(
+                region, 100
+            )
+            family = extend_masks_reference(region, ())
+            assert extend_masks(region, (), packed=packed) == family
+            assert_extend_parity(region, family[::2])
+        lone = graph.subgraph([max(graph.nodes())])
+        assert PackedGraph(lone).words == 1
+        assert extend_masks(lone, ()) == extend_masks_reference(lone, ()) == []
+
+    def test_component_neighbourhoods_match_reference(self):
+        rng = random.Random(9)
+        for graph in CORPUS:
+            packed = PackedGraph(graph)
+            core = graph.core
+            order = graph.sorted_indices()
+            for __ in range(20):
+                removed = rng.getrandbits(len(core.adj)) & core.alive
+                assert component_neighbourhoods(
+                    packed, removed
+                ) == component_neighbourhoods_reference(core, removed, order)
+
+    def test_disconnected_graph_yields_empty_separator_last(self):
+        graph = cycle_graph(5)
+        graph.add_edges([(10, 11), (11, 12), (12, 13), (13, 10)])
+        masks = extend_masks(graph, ())
+        assert masks == extend_masks_reference(graph, ())
+        assert masks[-1] == 0 and 0 not in masks[:-1]
+
+    @pytest.mark.parametrize("written_on", ["native", "int-mask"])
+    def test_checkpoint_resumes_across_paths(self, written_on, tmp_path):
+        graph = gnp_random_graph(12, 0.3, seed=21)
+        full = {
+            frozenset(t.fill_edges)
+            for t in enumerate_minimal_triangulations(graph)
+        }
+        path = tmp_path / "cross.ckpt.json"
+        engine = EnumerationEngine("serial")
+        first_path, second_path = (
+            (contextlib.nullcontext, int_mask_path)
+            if written_on == "native"
+            else (int_mask_path, contextlib.nullcontext)
+        )
+        with first_path():
+            first = engine.run(
+                EnumerationJob(
+                    graph, checkpoint_path=path, checkpoint_every=3,
+                    max_results=len(full) // 3,
+                )
+            )
+        with second_path():
+            second = engine.run(
+                EnumerationJob(graph, checkpoint_path=path, resume=True)
+            )
+        got_first = {frozenset(t.fill_edges) for t in first.triangulations}
+        got_second = {frozenset(t.fill_edges) for t in second.triangulations}
+        assert not got_first & got_second
+        assert got_first | got_second == full
+        assert second.completed
+
+
+class TestExtendTierAttribution:
+    def test_serial_run_records_extend_tier(self):
+        stats = EnumMISStatistics()
+        graph = cycle_graph(7)
+        count = sum(1 for __ in enumerate_minimal_triangulations(graph, stats=stats))
+        assert count == 42  # Catalan(5)
+        key = "extend:" + extend_tier()
+        assert stats.kernel_tiers == {key: stats.extend_calls}
+        assert key == (
+            "extend:native" if fused_kernels() is not None else "extend:indexed"
+        )
+
+    def test_int_mask_path_records_indexed(self):
+        stats = EnumMISStatistics()
+        with int_mask_path():
+            sgr = MinimalSeparatorSGR(cycle_graph(6), stats=stats)
+            list(enumerate_maximal_independent_sets(sgr, stats=stats))
+        assert stats.kernel_tiers == {"extend:indexed": stats.extend_calls}
+
+    def test_other_triangulators_run_the_oracle(self):
+        assert extend_tier("lb_triang") == "indexed"
+        graph = gnp_random_graph(12, 0.3, seed=2)
+        assert extend_masks(graph, (), "lb_triang") == extend_masks_reference(
+            graph, (), "lb_triang"
+        )
