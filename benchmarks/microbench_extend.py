@@ -44,8 +44,11 @@ hardware-independent correctness gate run in CI.  When the compiled
 extension loads, the gate also pins the fused native steps against
 their int-mask oracles: ``extend_mcs_m`` (``extend_masks`` vs
 ``extend_masks_reference``, φ = ∅ and φ = half of that result, same
-masks in the same order) and ``component_neighbourhoods`` (the
-``minimal_separator_masks`` yield order, first 300 separators).  The gate runs on the
+masks in the same order), ``materialise_fill`` (``materialise_masks``
+vs ``materialise_masks_reference`` on the answer φ = that result: the
+same fill pairs in the same order and the same width) and
+``component_neighbourhoods`` (the ``minimal_separator_masks`` yield
+order, first 300 separators).  The gate runs on the
 backend named by ``--graph-backend`` (default ``numpy``; CI also runs
 it with ``--graph-backend native``).  ``--record LABEL`` appends the
 measurements (with the ``cores`` field convention of the PR 2/3
@@ -78,7 +81,12 @@ from repro.chordal.peo import (
     maximum_cardinality_search,
 )
 from repro.chordal.triangulate import lb_triang, mcs_m
-from repro.core.extend import extend_masks, extend_masks_reference
+from repro.core.extend import (
+    extend_masks,
+    extend_masks_reference,
+    materialise_masks,
+    materialise_masks_reference,
+)
 from repro.graph import fused_kernels, resolve_graph_backend
 from repro.graph.generators import (
     cycle_graph,
@@ -201,8 +209,9 @@ def run_check(backend: str = "numpy") -> int:
     )
     if fused:
         print(
-            "OK — fused extend_mcs_m and component_neighbourhoods match "
-            "their int-mask oracles (same masks, same order)"
+            "OK — fused extend_mcs_m, materialise_fill and "
+            "component_neighbourhoods match their int-mask oracles "
+            "(same masks, fill pairs and widths, same order)"
         )
     else:
         print("note: native extension unavailable — fused rows skipped")
@@ -217,6 +226,11 @@ def check_fused(graph, packed) -> int:
         if extend_masks(packed, phi) != extend_masks_reference(graph, phi):
             failures += 1
             print(f"  extend_mcs_m differs for |phi|={len(phi)}")
+    if materialise_masks(packed, family) != materialise_masks_reference(
+        graph, family
+    ):
+        failures += 1
+        print("  materialise_fill differs from its oracle")
     # The oracle order: the same generator with the fused step disabled.
     module = sys.modules[minimal_separator_masks.__module__]
     fused_order = list(itertools.islice(minimal_separator_masks(packed), 300))

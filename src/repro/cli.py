@@ -769,7 +769,7 @@ def _command_kernels(args: argparse.Namespace) -> int:
         else "int-mask oracles"
     )
     print(f"fused steps      : {fused} (Extend with MCS-M, "
-          "separator generation)")
+          "separator generation, answer materialisation)")
     print("kernels:")
     for name, tier in sorted(info["kernels"].items()):
         print(f"  {name:<24} {tier}")

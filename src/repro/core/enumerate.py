@@ -25,9 +25,9 @@ from collections.abc import Iterator
 
 from repro.chordal.triangulate import Triangulator, get_triangulator
 from repro.core.extend import minimal_triangulation_via
-from repro.core.triangulation import Triangulation
+from repro.core.triangulation import Triangulation, materialise
 from repro.graph.components import connected_components
-from repro.graph.graph import Graph, Node
+from repro.graph.graph import Graph
 from repro.sgr.enum_mis import EnumMISStatistics, enumerate_maximal_independent_sets
 from repro.sgr.separator_graph import MinimalSeparatorSGR
 
@@ -148,10 +148,7 @@ def enumerate_minimal_triangulations(
         for region in regions
     ]
     for combination in _fair_product(per_region):
-        fill: list[tuple[Node, Node]] = []
-        for part in combination:
-            fill.extend(part.fill_edges)
-        yield Triangulation(graph, tuple(fill))
+        yield Triangulation._product(graph, combination)
 
 
 def count_minimal_triangulations(
@@ -178,18 +175,13 @@ def _enumerate_connected(
         yield Triangulation(graph, ())
         return
     sgr = MinimalSeparatorSGR(graph, method, stats=stats)
-    core = graph.core
-    label_of = graph.label_of
+    separator_mask = sgr.separator_mask
     for family in enumerate_maximal_independent_sets(sgr, mode=mode, stats=stats):
-        # Materialise the fill of g[family] at yield time: saturate the
-        # separator masks on a scratch adjacency copy and translate the
-        # added index pairs back to labels only for the answer object.
-        scratch = core.copy()
-        fill: list[tuple[Node, Node]] = []
-        for separator in family:
-            for u, v in scratch.saturate(graph.mask_of(separator)):
-                fill.append((label_of(u), label_of(v)))
-        yield Triangulation(graph, tuple(fill))
+        # Materialise g[family] at yield time: fill and width from the
+        # separator masks in one mask-level call.
+        yield materialise(
+            graph, [separator_mask(s) for s in family], sgr.packed_graph
+        )
 
 
 def _fair_product(iterators: list[Iterator[Triangulation]]) -> Iterator[tuple]:

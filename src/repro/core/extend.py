@@ -21,6 +21,11 @@ available it is one native call — saturation, MCS-M and the
 clique-forest scan fused in C — on every graph core; otherwise the
 int-mask pipeline :func:`extend_masks_reference` runs, which stays the
 oracle the native step is tested against.
+
+Answers are materialised at the same level: :func:`materialise_masks`
+saturates an answer's separator masks and returns the fill of g[φ] as
+label-rank pairs together with its width, in one native call when the
+kernels load and through :func:`materialise_masks_reference` otherwise.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.chordal.chordal_separators import ordered_separator_masks
+from repro.chordal.cliques import clique_forest_masks
 from repro.chordal.sandwich import minimal_triangulation_sandwich
 from repro.chordal.triangulate import MCS_M, Triangulator, get_triangulator
 from repro.graph import fused_kernels
@@ -38,6 +44,8 @@ __all__ = [
     "extend_masks_reference",
     "extend_tier",
     "extend_parallel_set",
+    "materialise_masks",
+    "materialise_masks_reference",
     "minimal_triangulation_via",
 ]
 
@@ -116,6 +124,50 @@ def extend_masks_reference(
         core.saturate(mask)
     triangulated = minimal_triangulation_via(saturated, triangulator)
     return ordered_separator_masks(triangulated)
+
+
+def materialise_masks(
+    graph: Graph, masks: Iterable[int], packed=None
+) -> tuple[list[int], list[int], int]:
+    """The fill and width of g[φ] from separator masks φ.
+
+    Returns ``(lo, hi, width)``: the added edges as label-rank pairs
+    ``(lo[i], hi[i])`` (``graph.ranks()`` numbering, ``lo[i] < hi[i]``)
+    in lexicographic order, and the width of g[φ].  For a maximal
+    pairwise-parallel φ that is the answer's triangulation, so this is
+    all an answer object needs.  One fused native call when the kernels
+    load (``packed`` as in :func:`extend_masks`), otherwise
+    :func:`materialise_masks_reference`, whose output is identical.
+    """
+    native = fused_kernels()
+    if native is not None:
+        if packed is None:
+            packed = native.PackedGraph(graph)
+        return native.materialise_fill(packed, masks)
+    return materialise_masks_reference(graph, masks)
+
+
+def materialise_masks_reference(
+    graph: Graph, masks: Iterable[int]
+) -> tuple[list[int], list[int], int]:
+    """The int-mask materialiser: the oracle of :func:`materialise_masks`.
+
+    Saturates φ on a copy of the graph core and runs the mask-level
+    clique-forest scan of the result; no label-level graph is built.
+    """
+    saturated = graph.copy()
+    core = saturated.core
+    added: list[tuple[int, int]] = []
+    for mask in masks:
+        added.extend(core.saturate(mask))
+    ranks = graph.ranks()
+    pairs = sorted(
+        (ru, rv) if ru < rv else (rv, ru)
+        for ru, rv in ((ranks[u], ranks[v]) for u, v in added)
+    )
+    cliques = clique_forest_masks(saturated)[0]
+    width = max((clique.bit_count() for clique in cliques), default=0) - 1
+    return [u for u, __ in pairs], [v for __, v in pairs], width
 
 
 def extend_parallel_set(

@@ -18,10 +18,11 @@ FIFO order (see ``tests/test_ranked.py`` for the measured bias).
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Callable, Iterator
 
 from repro.chordal.triangulate import Triangulator, get_triangulator
-from repro.core.triangulation import Triangulation
+from repro.core.triangulation import Triangulation, materialise
 from repro.graph.components import connected_components
 from repro.graph.graph import Graph, Node
 from repro.sgr.enum_mis import EnumMISStatistics, enumerate_maximal_independent_sets
@@ -87,8 +88,9 @@ def enumerate_minimal_triangulations_prioritized(
 
     Notes
     -----
-    Disconnected graphs are handled per component, cheapest component
-    order first; the cross-component product uses the plain enumerator.
+    Disconnected graphs are not ranked: the cross-component product
+    uses the plain enumerator in unranked UP order, and a
+    :class:`RuntimeWarning` says so.
     """
     if backend != "serial":
         from repro.engine import EnumerationEngine, EnumerationJob
@@ -102,11 +104,12 @@ def enumerate_minimal_triangulations_prioritized(
     method = get_triangulator(triangulator)
     components = connected_components(graph)
     if len(components) > 1:
-        # Delegate the product structure to the plain enumerator and
-        # re-rank greedily within a window-free stream: materialise per
-        # component (costs stay component-local and exact ordering of
-        # the product is out of scope for the heuristic order anyway).
+        # Ranking is component-local at best and exact ordering of the
+        # product is out of scope for the heuristic order, so the
+        # product comes from the plain enumerator, unranked.
         from repro.core.enumerate import enumerate_minimal_triangulations
+
+        _warn_unranked(f"{len(components)} connected components")
 
         # graph_backend=None: keep the caller's graph-core choice —
         # engine-routed jobs arrive here already resolved, and "auto"
@@ -118,21 +121,30 @@ def enumerate_minimal_triangulations_prioritized(
         return
 
     sgr = MinimalSeparatorSGR(graph, method)
+    separator_mask = sgr.separator_mask
 
-    def materialise(family: frozenset[frozenset[Node]]) -> Triangulation:
-        saturated = graph.copy()
-        fill: list[tuple[Node, Node]] = []
-        for separator in family:
-            fill.extend(saturated.saturate(separator))
-        return Triangulation(graph, tuple(fill))
+    def answer(family: frozenset[frozenset[Node]]) -> Triangulation:
+        return materialise(
+            graph, [separator_mask(s) for s in family], sgr.packed_graph
+        )
 
     def priority(family: frozenset[frozenset[Node]]) -> object:
-        return cost_fn(materialise(family))
+        return cost_fn(answer(family))
 
     for family in enumerate_maximal_independent_sets(
         sgr, mode="UP", stats=stats, priority=priority
     ):
-        yield materialise(family)
+        yield answer(family)
+
+
+def _warn_unranked(regions: str) -> None:
+    """Say that a ranked job over several regions runs unranked."""
+    warnings.warn(
+        f"ranked enumeration over {regions} is not ranked: the "
+        "cross-region product is enumerated in unranked UP order",
+        RuntimeWarning,
+        stacklevel=3,
+    )
 
 
 def anytime_treewidth(

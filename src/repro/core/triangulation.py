@@ -16,13 +16,15 @@ tree decomposition (the clique tree).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cached_property
 
 from repro.chordal.cliques import CliqueForest, mcs_clique_forest
 from repro.chordal.sandwich import is_minimal_triangulation
+from repro.core.extend import materialise_masks
 from repro.graph.graph import Graph, Node, edge_key, sort_edges
 
-__all__ = ["Triangulation"]
+__all__ = ["Triangulation", "materialise"]
 
 
 class Triangulation:
@@ -39,11 +41,39 @@ class Triangulation:
     identifies the triangulation of a fixed base graph.
     """
 
-    __slots__ = ("_base", "_fill", "__dict__")
+    __slots__ = ("_base", "_fill", "_width", "__dict__")
 
     def __init__(self, base: Graph, fill_edges: tuple[tuple[Node, Node], ...]) -> None:
         self._base = base
         self._fill = tuple(sort_edges(edge_key(u, v) for u, v in fill_edges))
+        self._width: int | None = None
+
+    @classmethod
+    def _from_canonical(
+        cls, base: Graph, fill: tuple[tuple[Node, Node], ...], width: int
+    ) -> "Triangulation":
+        """Internal constructor: ``fill`` is already canonical (each edge
+        an :func:`edge_key`, the tuple in :func:`sort_edges` order) and
+        ``width`` is known, so neither is recomputed."""
+        triangulation = cls.__new__(cls)
+        triangulation._base = base
+        triangulation._fill = fill
+        triangulation._width = width
+        return triangulation
+
+    @classmethod
+    def _product(
+        cls, base: Graph, parts: Iterable["Triangulation"]
+    ) -> "Triangulation":
+        """Join triangulations of the regions of ``base`` (components or
+        atoms): the fills are disjoint, and every clique of the union
+        lies in one region, so the width is the largest region width."""
+        parts = list(parts)
+        fill = tuple(sort_edges(edge for part in parts for edge in part._fill))
+        width = max(
+            part.width if part._width is None else part._width for part in parts
+        )
+        return cls._from_canonical(base, fill, width)
 
     @classmethod
     def from_chordal_supergraph(cls, base: Graph, chordal: Graph) -> "Triangulation":
@@ -84,7 +114,9 @@ class Triangulation:
     @property
     def width(self) -> int:
         """The *width* quality measure: max clique size of h minus one."""
-        return self.clique_forest.width
+        if self._width is None:
+            self._width = self.clique_forest.width
+        return self._width
 
     @cached_property
     def minimal_separators(self) -> frozenset[frozenset[Node]]:
@@ -129,3 +161,27 @@ class Triangulation:
             f"Triangulation(width={self.width}, fill={self.fill}, "
             f"base={self._base.summary()!r})"
         )
+
+
+def materialise(
+    graph: Graph, masks: Iterable[int], packed=None
+) -> Triangulation:
+    """The answer ``g[φ]`` for a maximal family φ of separator masks.
+
+    Fill and width come from one mask-level call
+    (:func:`repro.core.extend.materialise_masks`; ``packed`` is the
+    graph's cached packed form, or None).  The fill's label-rank pairs
+    become labels through the graph's rank → label table
+    (:meth:`~repro.graph.graph.Graph.rank_labels`); they are already
+    canonical unless the labels mix shapes, and then go through
+    :func:`edge_key`/:func:`sort_edges`.
+    """
+    lo, hi, width = materialise_masks(graph, masks, packed)
+    labels, canonical = graph.rank_labels()
+    label = labels.__getitem__
+    pairs = zip(map(label, lo), map(label, hi))
+    if canonical:
+        fill = tuple(pairs)
+    else:
+        fill = tuple(sort_edges(edge_key(u, v) for u, v in pairs))
+    return Triangulation._from_canonical(graph, fill, width)

@@ -64,6 +64,7 @@ from repro.core.extend import (
     extend_parallel_set,  # noqa: F401  (perfbench/tracing.py patches this name)
     extend_tier,
 )
+from repro.core.triangulation import Triangulation, materialise
 from repro.engine.base import BatchFailedError, EngineError
 from repro.engine.batching import AdaptiveBatcher
 from repro.engine.checkpoint import CheckpointError, CheckpointState
@@ -76,6 +77,7 @@ from repro.engine.watchdog import (
     BatchFailure,
     BatchLimits,
 )
+from repro.graph import fused_kernels
 from repro.graph.graph import Graph
 from repro.sgr.enum_mis import EnumMISStatistics, _AnswerQueue
 
@@ -111,7 +113,10 @@ class MISCoordinator:
     """Sharded EnumMIS over one connected region of the input graph.
 
     Yields answers as frozensets of separator *masks*; the backend
-    layer materialises them into Triangulation objects.
+    layer materialises them into Triangulation objects through
+    :meth:`materialise`.  The region is packed for the fused native
+    kernels once, here, and that one packed graph serves separator
+    generation, the seed Extend and materialisation.
 
     ``checkpoint`` is a sink object exposing ``every`` (save cadence in
     newly generated answers) and ``save()`` (persist the document this
@@ -130,7 +135,7 @@ class MISCoordinator:
         *,
         mode: str = "UG",
         triangulator: str | Triangulator = "mcs_m",
-        priority: Callable[[Answer], object] | None = None,
+        cost: Callable[[Triangulation], object] | None = None,
         stats: EnumMISStatistics | None = None,
         checkpoint=None,
         restore_state: CheckpointState | None = None,
@@ -148,7 +153,6 @@ class MISCoordinator:
         self._runner = runner
         self._mode = mode
         self._triangulator = triangulator
-        self._priority = priority
         self._stats = stats if stats is not None else EnumMISStatistics()
         self._checkpoint = checkpoint
         self._max_batch_retries = max_batch_retries
@@ -172,6 +176,11 @@ class MISCoordinator:
 
             self._words = word_count(len(region.core.adj))
 
+        native = fused_kernels()
+        self._packed = native.PackedGraph(region) if native is not None else None
+        priority = None
+        if cost is not None:
+            priority = lambda answer: cost(self.materialise(answer))  # noqa: E731
         self._queue = _AnswerQueue(priority)
         self._seen: set[Answer] = set()
         self._dispatched: set[Answer] = set()
@@ -189,7 +198,7 @@ class MISCoordinator:
         if restore_state is not None:
             self._node_iterator = self._restore(restore_state)
         else:
-            self._node_iterator = minimal_separator_masks(region)
+            self._node_iterator = minimal_separator_masks(region, self._packed)
 
     # ------------------------------------------------------------------
     # Dispatch and collection (sizing policy lives in the batcher)
@@ -450,7 +459,7 @@ class MISCoordinator:
         Statistics are *not* restored here: they are shared by every
         region of a job and restored once, at the document level.
         """
-        node_iterator = minimal_separator_masks(self._region)
+        node_iterator = minimal_separator_masks(self._region, self._packed)
         prefix = list(itertools.islice(node_iterator, len(state.known_nodes)))
         if prefix != state.known_nodes:
             raise CheckpointError(
@@ -479,9 +488,15 @@ class MISCoordinator:
         tier = "extend:" + extend_tier(self._triangulator)
         stats.kernel_tiers[tier] = stats.kernel_tiers.get(tier, 0) + 1
         started = time.perf_counter_ns()
-        family = extend_masks(self._region, (), self._triangulator)
+        family = extend_masks(
+            self._region, (), self._triangulator, self._packed
+        )
         stats.extend_time_ns += time.perf_counter_ns() - started
         return frozenset(family)
+
+    def materialise(self, answer: Answer) -> Triangulation:
+        """The triangulation ``g[φ]`` of an answer of this region."""
+        return materialise(self._region, answer, self._packed)
 
     def _absorb(self, candidates, delta) -> list[Answer]:
         """Fold a batch result into (stats, seen, Q); return new answers."""

@@ -6,9 +6,10 @@ The graph is decomposed exactly as the serial pipeline does
 execute on a shared worker pool, and disconnected inputs are recombined
 through the same lazy fair product as the serial enumerator.  Answers
 arrive as frozensets of separator masks and are materialised into
-:class:`~repro.core.triangulation.Triangulation` objects here, by
-saturating the masks on a scratch bitmask core — identical to the
-serial yield path, so both backends produce equal Triangulation values.
+:class:`~repro.core.triangulation.Triangulation` objects here, through
+each region coordinator's mask-level materialiser — the same one the
+serial yield path uses, so both backends produce equal Triangulation
+values.
 
 The module also hosts :func:`coordinated_stream`, the backend-agnostic
 assembly (regions → coordinators → materialisation → product), which
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterator
 
-from repro.core.ranked import _resolve_cost
+from repro.core.ranked import _resolve_cost, _warn_unranked
 from repro.core.triangulation import Triangulation
 from repro.engine.base import EngineError, EnumerationBackend, register_backend
 from repro.engine.batching import AdaptiveBatcher
@@ -46,7 +47,7 @@ from repro.engine.pool import (
 )
 from repro.engine.watchdog import BatchLimits
 from repro.graph.components import connected_components
-from repro.graph.graph import Graph, Node
+from repro.graph.graph import Graph
 from repro.sgr.enum_mis import EnumMISStatistics
 
 __all__ = ["ShardedBackend", "coordinated_stream"]
@@ -61,19 +62,6 @@ def _resolve_regions(job: EnumerationJob) -> list[frozenset]:
 
         return list(atoms(graph))
     return list(connected_components(graph))
-
-
-def _materialise(
-    region: Graph, answer: Answer
-) -> Triangulation:
-    """``g[φ]`` from separator masks — the fill at yield time."""
-    scratch = region.core.copy()
-    label_of = region.label_of
-    fill: list[tuple[Node, Node]] = []
-    for separator_mask in answer:
-        for u, v in scratch.saturate(separator_mask):
-            fill.append((label_of(u), label_of(v)))
-    return Triangulation(region, tuple(fill))
 
 
 class _DocumentSink:
@@ -185,18 +173,13 @@ def coordinated_stream(
                     document, [fingerprint], job
                 )[0]
                 stats.restore(document.stats)
-            priority = None
-            if cost_fn is not None:
-                priority = lambda answer: cost_fn(  # noqa: E731
-                    _materialise(graph, answer)
-                )
             coordinator = MISCoordinator(
                 graph,
                 graph.core.alive,
                 runner,
                 mode=mode,
                 triangulator=job.triangulator,
-                priority=priority,
+                cost=cost_fn,
                 stats=stats,
                 checkpoint=sink,
                 restore_state=restore,
@@ -209,7 +192,7 @@ def coordinated_stream(
             answers = coordinator.stream()
             try:
                 for answer in answers:
-                    yield _materialise(graph, answer)
+                    yield coordinator.materialise(answer)
             finally:
                 answers.close()
             return
@@ -217,7 +200,9 @@ def coordinated_stream(
         # Disconnected input: per-region coordinators on the shared
         # pool, recombined through the lazy fair product.  Ranking is
         # component-local at best, so (as in repro.core.ranked) the
-        # cross-region product falls back to plain order.
+        # cross-region product falls back to plain order, with a warning.
+        if cost_fn is not None:
+            _warn_unranked(f"{len(regions)} regions")
         region_graphs = [
             graph.subgraph(region_nodes) for region_nodes in regions
         ]
@@ -260,7 +245,7 @@ def coordinated_stream(
         streams = [coordinator.stream() for coordinator in coordinators]
         try:
             yield from _product_stream(
-                graph, region_graphs, streams, sink, document
+                graph, coordinators, streams, sink, document
             )
         finally:
             for stream in streams:
@@ -296,7 +281,7 @@ def _match_sections(
 
 def _product_stream(
     graph: Graph,
-    region_graphs: list[Graph],
+    coordinators: list[MISCoordinator],
     streams: list[Iterator[Answer]],
     sink: _DocumentSink | None,
     document: CheckpointDocument | None,
@@ -324,20 +309,22 @@ def _product_stream(
         if sink is not None and sink.caches is not None
         else [[] for __ in range(count)]
     )
-    # Per-region answer → fill memo, so a combination costs list
-    # concatenation instead of re-saturating every coordinate.
-    fills: list[dict[Answer, tuple]] = [{} for __ in range(count)]
+    # Per-region answer → triangulation memo, so a combination joins
+    # materialised parts instead of re-saturating every coordinate.
+    memos: list[dict[Answer, Triangulation]] = [{} for __ in range(count)]
+
+    def part(index: int, answer: Answer) -> Triangulation:
+        memo = memos[index]
+        region_answer = memo.get(answer)
+        if region_answer is None:
+            region_answer = coordinators[index].materialise(answer)
+            memo[answer] = region_answer
+        return region_answer
 
     def combine(parts: list[Answer]) -> Triangulation:
-        fill: list[tuple[Node, Node]] = []
-        for index, answer in enumerate(parts):
-            memo = fills[index]
-            part = memo.get(answer)
-            if part is None:
-                part = _materialise(region_graphs[index], answer).fill_edges
-                memo[answer] = part
-            fill.extend(part)
-        return Triangulation(graph, tuple(fill))
+        return Triangulation._product(
+            graph, (part(index, answer) for index, answer in enumerate(parts))
+        )
 
     if document is not None and document.arrivals:
         # Replay the interrupted product from the restored caches.

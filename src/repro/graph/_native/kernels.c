@@ -7,11 +7,12 @@
  * per-call dispatch and every intermediate array: each kernel is one
  * pass over the packed words with the loop fused end to end.
  *
- * The two fused layer steps at the bottom (extend_mcs_m,
- * component_neighbourhoods) have no numpy twin: they mirror the
- * int-mask Python pipelines they replace (repro/core/extend.py and
- * repro/chordal/minimal_separators.py), which stay their oracles
- * (tests/test_extend_kernels.py, microbench_extend.py --check).
+ * The three fused layer steps at the bottom (extend_mcs_m,
+ * materialise_fill, component_neighbourhoods) have no numpy twin: they
+ * mirror the int-mask Python pipelines they replace
+ * (repro/core/extend.py and repro/chordal/minimal_separators.py),
+ * which stay their oracles (tests/test_extend_kernels.py,
+ * microbench_extend.py --check).
  */
 
 #include <stdlib.h>
@@ -551,6 +552,175 @@ static void mcs_m_update(const uint64_t *adj, int64_t wk, const buckets_t *b,
     }
 }
 
+/* g[phi]: copy adj into sat and make each of the m caller-space
+ * separator rows of phi a clique.  row is wk words of scratch. */
+static void saturate_phi(const uint64_t *adj, int64_t k, int64_t wk,
+                         const int64_t *live_sorted,
+                         const int64_t *live_dense, int64_t w_out,
+                         const uint64_t *phi, int64_t m, uint64_t *sat,
+                         uint64_t *row) {
+    memcpy(sat, adj, (size_t)(k * wk) * 8);
+    for (int64_t s = 0; s < m; s++) {
+        dense_row_in(ROW(phi, s, w_out), w_out, live_sorted, live_dense, k,
+                     row, wk);
+        for (int64_t w = 0; w < wk; w++) {
+            uint64_t bits = row[w];
+            while (bits) {
+                int64_t u = (w << 6) + __builtin_ctzll(bits);
+                bits &= bits - 1;
+                uint64_t *sat_u = ROW(sat, u, wk);
+                for (int64_t x = 0; x < wk; x++) {
+                    sat_u[x] |= row[x];
+                }
+                sat_u[u >> 6] &= ~(1ULL << (u & 63));
+            }
+        }
+    }
+}
+
+/* Scratch of clique_scan: the clique rows, the weight buckets and four
+ * wk-word rows.  ints holds 4 * k + 1 words. */
+typedef struct {
+    uint64_t *cliques;  /* k x wk */
+    buckets_t b;        /* (k + 1) x wk rows, counts and weights */
+    int64_t *stamp;     /* k */
+    int64_t *clique_of; /* k */
+    uint64_t *open;     /* unvisited */
+    uint64_t *seen;     /* visited */
+    uint64_t *nbrs;
+    uint64_t *update;
+} scan_t;
+
+static void scan_init(scan_t *s, int64_t k, int64_t wk, uint64_t *cliques,
+                      uint64_t *bucket_rows, int64_t *ints, uint64_t *rows) {
+    s->cliques = cliques;
+    s->b = (buckets_t){bucket_rows, ints, ints + k + 1, 0, wk};
+    s->stamp = ints + 2 * k + 1;
+    s->clique_of = ints + 3 * k + 1;
+    s->open = rows;
+    s->seen = rows + wk;
+    s->nbrs = rows + 2 * wk;
+    s->update = rows + 3 * wk;
+}
+
+/* The MCS clique-forest scan of the chordal graph h (k x wk dense rows;
+ * repro.chordal.cliques.clique_forest_masks), keeping both chordality
+ * invariants.  When out is not NULL, the separator of each non-root
+ * clique is written to it in caller space (through order, w_out words
+ * a row).  Returns the number of non-root cliques, or -1 when an
+ * invariant fails (h is not chordal); *roots_out counts the roots and
+ * *width_out is the largest clique size minus one. */
+static int64_t clique_scan(const uint64_t *h, int64_t k, int64_t wk,
+                           scan_t *s, const int64_t *order, int64_t w_out,
+                           uint64_t *out, int64_t *roots_out,
+                           int64_t *width_out) {
+    buckets_reset(&s->b, k);
+    memcpy(s->open, s->b.rows, (size_t)wk * 8);
+    memset(s->seen, 0, (size_t)wk * 8);
+    uint64_t *nbrs = s->nbrs;
+    int64_t n_cliques = 0;
+    int64_t current = -1;
+    int64_t prev_card = -1;
+    int64_t n_out = 0;
+    int64_t roots = 0;
+    int64_t width = -1;
+    for (int64_t step = 0; step < k; step++) {
+        int64_t node = buckets_pop_max(&s->b);
+        const uint64_t *row = ROW(h, node, wk);
+        int64_t card = 0;
+        for (int64_t w = 0; w < wk; w++) {
+            nbrs[w] = row[w] & s->seen[w];
+            card += __builtin_popcountll(nbrs[w]);
+        }
+        if (card == prev_card + 1 && current >= 0) {
+            uint64_t *clique = ROW(s->cliques, current, wk);
+            if (!rows_equal(nbrs, clique, wk)) {
+                return -1;  /* clique-continuation invariant */
+            }
+            clique[node >> 6] |= 1ULL << (node & 63);
+        } else {
+            if (card > 0) {
+                int64_t last = -1;
+                for (int64_t w = 0; w < wk; w++) {
+                    uint64_t bits = nbrs[w];
+                    while (bits) {
+                        int64_t u = (w << 6) + __builtin_ctzll(bits);
+                        bits &= bits - 1;
+                        if (last < 0 || s->stamp[u] > s->stamp[last]) {
+                            last = u;
+                        }
+                    }
+                }
+                const uint64_t *parent =
+                    ROW(s->cliques, s->clique_of[last], wk);
+                for (int64_t w = 0; w < wk; w++) {
+                    if (nbrs[w] & ~parent[w]) {
+                        return -1;  /* parent-clique invariant */
+                    }
+                }
+                if (out != NULL) {
+                    dense_row_out(nbrs, wk, order, ROW(out, n_out, w_out),
+                                  w_out);
+                }
+                n_out++;
+            } else {
+                roots++;
+            }
+            uint64_t *clique = ROW(s->cliques, n_cliques, wk);
+            memcpy(clique, nbrs, (size_t)wk * 8);
+            clique[node >> 6] |= 1ULL << (node & 63);
+            current = n_cliques++;
+        }
+        /* The clique holding node is M(node) + node. */
+        if (card > width) {
+            width = card;
+        }
+        s->clique_of[node] = current;
+        s->stamp[node] = step;
+        s->seen[node >> 6] |= 1ULL << (node & 63);
+        s->open[node >> 6] &= ~(1ULL << (node & 63));
+        prev_card = card;
+        for (int64_t w = 0; w < wk; w++) {
+            s->update[w] = row[w] & s->open[w];
+        }
+        buckets_bump_all(&s->b, s->update);
+    }
+    *roots_out = roots;
+    *width_out = width;
+    return n_out;
+}
+
+/* Scratch shared by the two fused steps below: `matrices` k x wk
+ * matrices, the buckets and the scan's integer arrays, and `n_rows`
+ * wk-word rows.  Returns 0, or -2 (everything freed) when malloc
+ * fails. */
+typedef struct {
+    uint64_t *matrices;
+    uint64_t *bucket_rows;
+    int64_t *ints;
+    uint64_t *rows;
+} scratch_t;
+
+static void scratch_free(scratch_t *s) {
+    free(s->matrices);
+    free(s->bucket_rows);
+    free(s->ints);
+    free(s->rows);
+}
+
+static int scratch_alloc(scratch_t *s, int64_t k, int64_t wk,
+                         int64_t matrices, int64_t n_rows) {
+    s->matrices = malloc((size_t)(matrices * k * wk) * 8);
+    s->bucket_rows = malloc((size_t)((k + 1) * wk) * 8);
+    s->ints = malloc((size_t)(4 * k + 1) * 8);
+    s->rows = malloc((size_t)(n_rows * wk) * 8);
+    if (!s->matrices || !s->bucket_rows || !s->ints || !s->rows) {
+        scratch_free(s);
+        return -2;
+    }
+    return 0;
+}
+
 int64_t extend_mcs_m(const uint64_t *adj, int64_t k, int64_t wk,
                      const int64_t *live_sorted, const int64_t *live_dense,
                      const int64_t *order, int64_t w_out,
@@ -560,60 +730,33 @@ int64_t extend_mcs_m(const uint64_t *adj, int64_t k, int64_t wk,
     if (k == 0) {
         return 0;
     }
-    size_t matrix_words = (size_t)(k * wk);
-    size_t bucket_words = (size_t)((k + 1) * wk);
-    uint64_t *sat = malloc(matrix_words * 8);
-    uint64_t *filled = malloc(matrix_words * 8);
-    uint64_t *cliques = malloc(matrix_words * 8);
-    uint64_t *bucket_rows = malloc(bucket_words * 8);
-    uint64_t *rows = malloc((size_t)wk * 9 * 8);
-    int64_t *ints = malloc((size_t)(4 * k + 1) * 8);
-    if (!sat || !filled || !cliques || !bucket_rows || !rows || !ints) {
-        free(sat);
-        free(filled);
-        free(cliques);
-        free(bucket_rows);
-        free(rows);
-        free(ints);
+    scratch_t mem;
+    if (scratch_alloc(&mem, k, wk, 3, 10) < 0) {
         return -2;
     }
-    uint64_t *open = rows;            /* unnumbered / unvisited */
-    uint64_t *update = rows + wk;
-    uint64_t *sweep = rows + 2 * wk;  /* 5 * wk words */
-    uint64_t *seen = rows + 7 * wk;   /* a phi row, then the visited set */
-    uint64_t *nbrs = rows + 8 * wk;
-    buckets_t b = {bucket_rows, ints, ints + k + 1, 0, wk};
-    int64_t *stamp = ints + 2 * k + 1;
-    int64_t *clique_of = ints + 3 * k + 1;
+    size_t matrix_words = (size_t)(k * wk);
+    uint64_t *sat = mem.matrices;
+    uint64_t *filled = sat + matrix_words;
+    scan_t scan;
+    scan_init(&scan, k, wk, filled + matrix_words, mem.bucket_rows,
+              mem.ints, mem.rows);
+    uint64_t *update = mem.rows + 4 * wk;
+    uint64_t *sweep = mem.rows + 5 * wk;  /* 5 * wk words */
+    uint64_t *open = scan.open;
+    buckets_t *b = &scan.b;
 
-    /* g[phi]: saturate every separator on a scratch copy. */
-    memcpy(sat, adj, matrix_words * 8);
-    for (int64_t s = 0; s < m; s++) {
-        dense_row_in(ROW(phi, s, w_out), w_out, live_sorted, live_dense, k,
-                     seen, wk);
-        for (int64_t w = 0; w < wk; w++) {
-            uint64_t bits = seen[w];
-            while (bits) {
-                int64_t u = (w << 6) + __builtin_ctzll(bits);
-                bits &= bits - 1;
-                uint64_t *row = ROW(sat, u, wk);
-                for (int64_t x = 0; x < wk; x++) {
-                    row[x] |= seen[x];
-                }
-                row[u >> 6] &= ~(1ULL << (u & 63));
-            }
-        }
-    }
+    saturate_phi(adj, k, wk, live_sorted, live_dense, w_out, phi, m, sat,
+                 update);
 
     /* MCS-M on g[phi]; the fill goes into a second copy. */
     memcpy(filled, sat, matrix_words * 8);
-    buckets_reset(&b, k);
-    memcpy(open, bucket_rows, (size_t)wk * 8);
+    buckets_reset(b, k);
+    memcpy(open, b->rows, (size_t)wk * 8);
     for (int64_t step = 0; step < k; step++) {
-        int64_t v = buckets_pop_max(&b);
+        int64_t v = buckets_pop_max(b);
         open[v >> 6] &= ~(1ULL << (v & 63));
-        mcs_m_update(sat, wk, &b, open, v, update, sweep);
-        buckets_bump_all(&b, update);
+        mcs_m_update(sat, wk, b, open, v, update, sweep);
+        buckets_bump_all(b, update);
         const uint64_t *row_v = ROW(sat, v, wk);
         uint64_t *fill_v = ROW(filled, v, wk);
         for (int64_t w = 0; w < wk; w++) {
@@ -627,79 +770,65 @@ int64_t extend_mcs_m(const uint64_t *adj, int64_t k, int64_t wk,
         }
     }
 
-    /* Clique-forest MCS on g[phi] + fill (repro.chordal.cliques). */
-    buckets_reset(&b, k);
-    memcpy(open, bucket_rows, (size_t)wk * 8);
-    memset(seen, 0, (size_t)wk * 8);
-    int64_t n_cliques = 0;
-    int64_t current = -1;
-    int64_t prev_card = -1;
-    int64_t n_out = 0;
-    int64_t status = 0;
-    for (int64_t step = 0; step < k; step++) {
-        int64_t node = buckets_pop_max(&b);
-        const uint64_t *row = ROW(filled, node, wk);
-        int64_t card = 0;
-        for (int64_t w = 0; w < wk; w++) {
-            nbrs[w] = row[w] & seen[w];
-            card += __builtin_popcountll(nbrs[w]);
-        }
-        if (card == prev_card + 1 && current >= 0) {
-            uint64_t *clique = ROW(cliques, current, wk);
-            if (!rows_equal(nbrs, clique, wk)) {
-                status = -1;  /* clique-continuation invariant */
-                break;
-            }
-            clique[node >> 6] |= 1ULL << (node & 63);
-        } else {
-            if (card > 0) {
-                int64_t last = -1;
-                for (int64_t w = 0; w < wk; w++) {
-                    uint64_t bits = nbrs[w];
-                    while (bits) {
-                        int64_t u = (w << 6) + __builtin_ctzll(bits);
-                        bits &= bits - 1;
-                        if (last < 0 || stamp[u] > stamp[last]) {
-                            last = u;
-                        }
-                    }
-                }
-                const uint64_t *parent = ROW(cliques, clique_of[last], wk);
-                int subset = 1;
-                for (int64_t w = 0; w < wk; w++) {
-                    subset &= (nbrs[w] & ~parent[w]) == 0;
-                }
-                if (!subset) {
-                    status = -1;  /* parent-clique invariant */
-                    break;
-                }
-                dense_row_out(nbrs, wk, order, ROW(out, n_out, w_out), w_out);
-                n_out++;
-            } else {
-                (*roots_out)++;
-            }
-            uint64_t *clique = ROW(cliques, n_cliques, wk);
-            memcpy(clique, nbrs, (size_t)wk * 8);
-            clique[node >> 6] |= 1ULL << (node & 63);
-            current = n_cliques++;
-        }
-        clique_of[node] = current;
-        stamp[node] = step;
-        seen[node >> 6] |= 1ULL << (node & 63);
-        open[node >> 6] &= ~(1ULL << (node & 63));
-        prev_card = card;
-        for (int64_t w = 0; w < wk; w++) {
-            update[w] = row[w] & open[w];
-        }
-        buckets_bump_all(&b, update);
+    /* Clique-forest scan of g[phi] + fill. */
+    int64_t width;
+    int64_t n_out = clique_scan(filled, k, wk, &scan, order, w_out, out,
+                                roots_out, &width);
+    scratch_free(&mem);
+    return n_out;
+}
+
+int64_t materialise_fill(const uint64_t *adj, int64_t k, int64_t wk,
+                         const int64_t *live_sorted,
+                         const int64_t *live_dense, int64_t w_out,
+                         const uint64_t *phi, int64_t m, int64_t *lo_out,
+                         int64_t *hi_out, int64_t capacity,
+                         int64_t *width_out) {
+    *width_out = -1;
+    if (k == 0) {
+        return 0;
     }
-    free(sat);
-    free(filled);
-    free(cliques);
-    free(bucket_rows);
-    free(rows);
-    free(ints);
-    return status < 0 ? status : n_out;
+    scratch_t mem;
+    if (scratch_alloc(&mem, k, wk, 2, 4) < 0) {
+        return -2;
+    }
+    uint64_t *sat = mem.matrices;
+    scan_t scan;
+    scan_init(&scan, k, wk, sat + (size_t)(k * wk), mem.bucket_rows,
+              mem.ints, mem.rows);
+    saturate_phi(adj, k, wk, live_sorted, live_dense, w_out, phi, m, sat,
+                 scan.nbrs);
+
+    /* The fill, row by row: v > u in sat[u] but not in adj[u]. */
+    int64_t count = 0;
+    for (int64_t u = 0; u < k; u++) {
+        const uint64_t *sat_u = ROW(sat, u, wk);
+        const uint64_t *adj_u = ROW(adj, u, wk);
+        for (int64_t w = u >> 6; w < wk; w++) {
+            uint64_t bits = sat_u[w] & ~adj_u[w];
+            if (w == u >> 6) {
+                bits &= ~((2ULL << (u & 63)) - 1);
+            }
+            while (bits) {
+                if (count < capacity) {
+                    lo_out[count] = u;
+                    hi_out[count] = (w << 6) + __builtin_ctzll(bits);
+                }
+                count++;
+                bits &= bits - 1;
+            }
+        }
+    }
+    if (count > capacity) {
+        scratch_free(&mem);
+        return count;
+    }
+    int64_t roots;
+    if (clique_scan(sat, k, wk, &scan, NULL, 0, NULL, &roots, width_out) < 0) {
+        count = -1;
+    }
+    scratch_free(&mem);
+    return count;
 }
 
 int64_t component_neighbourhoods(const uint64_t *adj, int64_t k, int64_t wk,

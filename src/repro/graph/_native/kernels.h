@@ -20,7 +20,7 @@
 
 #include <stdint.h>
 
-#define REPRO_KERNELS_ABI_VERSION 2
+#define REPRO_KERNELS_ABI_VERSION 3
 
 int repro_kernels_abi_version(void);
 
@@ -110,8 +110,9 @@ int64_t masked_rows_popcount(const uint64_t *matrix, int64_t words,
  * label rank.  Rows crossing the boundary (phi, removed, out) are in
  * the caller's index space, w_out words each; live_sorted[] holds the
  * live caller indices ascending with live_dense[] their dense numbers,
- * and order[d] is the caller index of dense vertex d.  Both return -2
- * on scratch allocation failure and free all scratch before returning.
+ * and order[d] is the caller index of dense vertex d.  The three steps
+ * return -2 on scratch allocation failure and free all scratch before
+ * returning.
  */
 
 /* Translate m caller-space rows into dense rows (out: m x wk). */
@@ -130,6 +131,20 @@ int64_t extend_mcs_m(const uint64_t *adj, int64_t k, int64_t wk,
                      const int64_t *order, int64_t w_out,
                      const uint64_t *phi, int64_t m, uint64_t *out,
                      int64_t *roots_out);
+
+/* Answer materialisation: saturate the m separator rows of phi on a
+ * scratch copy and write the fill of g[phi] as dense pairs
+ * (lo_out[i], hi_out[i]), lo < hi, in lexicographic order; then run
+ * the MCS clique scan of g[phi] and store its width (largest clique
+ * size minus one) in *width_out.  Returns the number of fill pairs —
+ * when that exceeds capacity nothing is written and the scan is
+ * skipped — or -1 when a chordality invariant of the scan fails. */
+int64_t materialise_fill(const uint64_t *adj, int64_t k, int64_t wk,
+                         const int64_t *live_sorted,
+                         const int64_t *live_dense, int64_t w_out,
+                         const uint64_t *phi, int64_t m, int64_t *lo_out,
+                         int64_t *hi_out, int64_t capacity,
+                         int64_t *width_out);
 
 /* N(C) for every component C of g minus the removed row, components
  * in order of their smallest label rank; out holds at most k rows.

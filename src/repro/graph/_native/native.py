@@ -75,6 +75,7 @@ __all__ = [
     "clique_present_sum",
     "PackedGraph",
     "extend_mcs_m",
+    "materialise_fill",
     "component_neighbourhoods",
 ]
 
@@ -83,13 +84,14 @@ __all__ = [
 #: (``<path under repro/>:<function>``; checked by `repro analyze`).
 FUSED_ORACLES = {
     "extend_mcs_m": "core/extend.py:extend_masks_reference",
+    "materialise_fill": "core/extend.py:materialise_masks_reference",
     "component_neighbourhoods": (
         "chordal/minimal_separators.py:component_neighbourhoods_reference"
     ),
 }
 
 _SOURCE_DIR = Path(__file__).resolve().parent
-_ABI_VERSION = 2
+_ABI_VERSION = 3
 
 #: Environment variable that forces :func:`available` to False.
 DISABLE_ENV = "REPRO_NATIVE_DISABLE"
@@ -150,6 +152,12 @@ int64_t extend_mcs_m(const uint64_t *adj, int64_t k, int64_t wk,
                      const int64_t *order, int64_t w_out,
                      const uint64_t *phi, int64_t m, uint64_t *out,
                      int64_t *roots_out);
+int64_t materialise_fill(const uint64_t *adj, int64_t k, int64_t wk,
+                         const int64_t *live_sorted,
+                         const int64_t *live_dense, int64_t w_out,
+                         const uint64_t *phi, int64_t m, int64_t *lo_out,
+                         int64_t *hi_out, int64_t capacity,
+                         int64_t *width_out);
 int64_t component_neighbourhoods(const uint64_t *adj, int64_t k, int64_t wk,
                                  const int64_t *live_sorted,
                                  const int64_t *live_dense,
@@ -175,6 +183,7 @@ KERNEL_NAMES = (
     "mask_to_indices",
     "clique_present_sum",
     "extend_mcs_m",
+    "materialise_fill",
     "component_neighbourhoods",
 )
 
@@ -648,8 +657,8 @@ PackedMCSQueue = NativeMCSQueue
 
 
 class PackedGraph:
-    """A graph packed for :func:`extend_mcs_m` and
-    :func:`component_neighbourhoods`; build it once per graph.
+    """A graph packed for :func:`extend_mcs_m`, :func:`materialise_fill`
+    and :func:`component_neighbourhoods`; build it once per graph.
 
     The k live vertices are renumbered 0..k-1 by label rank, so every
     row the kernels touch is ``ceil(k / 64)`` words and "lowest set
@@ -657,11 +666,14 @@ class PackedGraph:
     component subgraph that keeps its parent's index space therefore
     costs its live vertices, not the parent's slots.  Masks cross the
     boundary in the graph's own index space, ``out_words`` words each
-    (enough for the highest live index).  The output buffer is reused
+    (enough for the highest live index).  The output buffers are reused
     by every call, so a PackedGraph serves one thread at a time.
     """
 
-    __slots__ = ("k", "words", "out_words", "span", "_args", "_out", "_out_ptr")
+    __slots__ = (
+        "k", "words", "out_words", "span", "_args", "_out", "_out_ptr",
+        "_fill", "_fill_ptrs",
+    )
 
     def __init__(self, graph) -> None:
         ffi, lib = _lib()
@@ -695,6 +707,17 @@ class PackedGraph:
         )
         self._out = bytearray(max(k, 1) * row_bytes)
         self._out_ptr = _u64_mut(ffi, self._out)
+        # Fill pairs (lo, hi) of materialise_fill; grown on demand.
+        self._fill = np.empty((2, 0), dtype=np.int64)
+        self._fill_ptrs = None
+
+    def _grow_fill(self, count: int) -> None:
+        ffi, __ = _lib()
+        capacity = max(count, 2 * self._fill.shape[1], 64)
+        self._fill = np.empty((2, capacity), dtype=np.int64)
+        self._fill_ptrs = (
+            _i64_mut(ffi, self._fill[0]), _i64_mut(ffi, self._fill[1])
+        )
 
     def _rows(self, count: int) -> list[int]:
         row_bytes = self.out_words * 8
@@ -703,6 +726,15 @@ class PackedGraph:
             int.from_bytes(view[i * row_bytes:(i + 1) * row_bytes], "little")
             for i in range(count)
         ]
+
+
+def _phi_rows(packed: PackedGraph, separators) -> bytes:
+    """The separator masks as caller-space rows, one after another."""
+    row_bytes = packed.out_words * 8
+    span = packed.span
+    return b"".join(
+        (mask & span).to_bytes(row_bytes, "little") for mask in separators
+    )
 
 
 def extend_mcs_m(packed: PackedGraph, separators) -> list[int]:
@@ -715,16 +747,12 @@ def extend_mcs_m(packed: PackedGraph, separators) -> list[int]:
     int-mask oracle :func:`repro.core.extend.extend_masks_reference`.
     """
     ffi, lib = _lib()
-    row_bytes = packed.out_words * 8
-    span = packed.span
-    phi = b"".join(
-        (mask & span).to_bytes(row_bytes, "little") for mask in separators
-    )
+    phi = _phi_rows(packed, separators)
     roots = ffi.new("int64_t *")
     count = lib.extend_mcs_m(
         *packed._args,
         _u64(ffi, phi) if phi else ffi.NULL,
-        len(phi) // row_bytes,
+        len(phi) // (packed.out_words * 8),
         packed._out_ptr,
         roots,
     )
@@ -739,6 +767,45 @@ def extend_mcs_m(packed: PackedGraph, separators) -> list[int]:
     if roots[0] > 1:
         result.append(0)
     return result
+
+
+def materialise_fill(
+    packed: PackedGraph, separators
+) -> tuple[list[int], list[int], int]:
+    """Fill and width of g[φ] in one C call (answer materialisation).
+
+    Saturates the separator masks and returns ``(lo, hi, width)``: the
+    added edges as label-rank pairs ``(lo[i], hi[i])`` with
+    ``lo[i] < hi[i]``, in lexicographic order, and the width of g[φ]
+    (largest clique size minus one, from the MCS clique scan).  Exactly
+    the output of the int-mask oracle
+    :func:`repro.core.extend.materialise_masks_reference`.
+    """
+    ffi, lib = _lib()
+    phi = _phi_rows(packed, separators)
+    matrix, k, wk, live_sorted, live_dense, __, w_out = packed._args
+    phi_arg = _u64(ffi, phi) if phi else ffi.NULL
+    m = len(phi) // (w_out * 8)
+    width = ffi.new("int64_t *")
+    while True:
+        capacity = packed._fill.shape[1]
+        lo, hi = packed._fill_ptrs or (ffi.NULL, ffi.NULL)
+        count = lib.materialise_fill(
+            matrix, k, wk, live_sorted, live_dense, w_out, phi_arg, m,
+            lo, hi, capacity, width,
+        )
+        if count <= capacity:
+            break
+        # Sized by the largest fill seen, not preallocated for k^2 pairs.
+        packed._grow_fill(count)
+    if count == -1:
+        raise NotChordalError(
+            "g[phi] is not chordal (MCS clique-forest invariant failed)"
+        )
+    if count < 0:  # pragma: no cover - scratch malloc failure
+        raise MemoryError("materialise_fill: scratch allocation failed")
+    pairs = packed._fill
+    return pairs[0, :count].tolist(), pairs[1, :count].tolist(), width[0]
 
 
 def component_neighbourhoods(packed: PackedGraph, removed: int) -> list[int]:

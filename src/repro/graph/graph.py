@@ -80,6 +80,19 @@ def _sort_nodes(nodes: Iterable[Node]) -> list[Node]:
         return sorted(nodes, key=lambda n: (type(n).__name__, repr(n)))
 
 
+def _order_shape(label: Node) -> object:
+    """``int``/``str`` for such a label, a tuple of element shapes for a
+    tuple label, and None for anything else.  Labels of one shape are
+    totally ordered by ``<``, with no pair raising ``TypeError``."""
+    kind = type(label)
+    if kind is int or kind is str:
+        return kind
+    if kind is tuple:
+        shape = tuple(map(_order_shape, label))
+        return None if None in shape else shape
+    return None
+
+
 def sort_edges(edges: Iterable[tuple[Node, Node]]) -> list[tuple[Node, Node]]:
     """Sort canonical edge tuples, tolerating incomparable node types."""
     edge_list = list(edges)
@@ -114,7 +127,7 @@ class Graph:
     [2, 4]
     """
 
-    __slots__ = ("_core", "_interner", "_sorted_idx", "_ranks")
+    __slots__ = ("_core", "_interner", "_sorted_idx", "_ranks", "_rank_labels")
 
     def __init__(
         self,
@@ -125,6 +138,7 @@ class Graph:
         self._interner = NodeInterner()
         self._sorted_idx: list[int] | None = None
         self._ranks: list[int] | None = None
+        self._rank_labels: tuple[list[Node], bool] | None = None
         for node in nodes:
             self.add_node(node)
         for edge in edges:
@@ -202,9 +216,33 @@ class Graph:
         assert self._ranks is not None
         return self._ranks
 
+    def rank_labels(self) -> tuple[list[Node], bool]:
+        """Return ``(labels, canonical)``: the labels in rank order (cached).
+
+        ``labels[r]`` is the label of rank ``r`` (see :meth:`ranks`).
+        ``canonical`` is True when all labels have one shape: all
+        ``int``, all ``str``, or all tuples whose items have one shape
+        position by position (``("d", 0)``, ``(3, 4)``).  Such labels
+        are totally ordered by ``<``, so for ranks ``r < s`` the pair
+        ``(labels[r], labels[s])`` is what :func:`edge_key` returns, and
+        lexicographic order of rank pairs is the order of
+        :func:`sort_edges`.  For mixed shapes (``1`` and ``"a"``,
+        ``("bg", 0)`` and ``(0, 0)``) or other types, edges must go
+        through those two functions instead.
+        """
+        cache = self._rank_labels
+        if cache is None:
+            label_of = self._interner.label_of
+            labels = [label_of(index) for index in self.sorted_indices()]
+            shapes = {_order_shape(label) for label in labels}
+            cache = (labels, len(shapes) <= 1 and None not in shapes)
+            self._rank_labels = cache
+        return cache
+
     def _invalidate_order(self) -> None:
         self._sorted_idx = None
         self._ranks = None
+        self._rank_labels = None
 
     @classmethod
     def _from_parts(cls, core: IndexedGraph, interner: NodeInterner) -> "Graph":
@@ -213,6 +251,7 @@ class Graph:
         g._interner = interner
         g._sorted_idx = None
         g._ranks = None
+        g._rank_labels = None
         return g
 
     # ------------------------------------------------------------------
@@ -229,6 +268,7 @@ class Graph:
         g = Graph._from_parts(self._core.copy(), self._interner.copy())
         g._sorted_idx = self._sorted_idx
         g._ranks = self._ranks
+        g._rank_labels = self._rank_labels
         return g
 
     # ------------------------------------------------------------------

@@ -130,9 +130,11 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         # hot loops hash machine ints, never |V|-bit masks.
         self._sep_id: dict[Separator, int] = {}
         self._id_mask: list[int] = []
-        # mask → separator frozenset, so Extend results translate back
-        # to labels once per distinct separator, not once per call.
+        # mask ↔ separator frozenset, so Extend results translate back
+        # to labels once per distinct separator, not once per call, and
+        # answers go back to masks without a label → index lookup.
         self._mask_sep: dict[int, Separator] = {}
+        self._sep_mask: dict[Separator, int] = {}
         # The graph packed for the fused native kernels (None: not built
         # yet; False: the kernels are unavailable on this host).
         self._packed = None
@@ -290,7 +292,14 @@ class MinimalSeparatorSGR(SuccinctGraphRepresentation):
         if separator is None:
             separator = self._graph.label_set(mask)
             self._mask_sep[mask] = separator
+            self._sep_mask[separator] = mask
         return separator
+
+    def separator_mask(self, separator: Separator) -> int:
+        """The vertex mask of ``separator`` (cached for every separator
+        this SGR has produced)."""
+        mask = self._sep_mask.get(separator)
+        return self._graph.mask_of(separator) if mask is None else mask
 
     def has_edge(self, u: Separator, v: Separator) -> bool:
         """Return whether two minimal separators cross (``u ♮ v``).

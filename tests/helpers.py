@@ -9,7 +9,10 @@ wins the module name and shadows the other's helpers.
 
 from __future__ import annotations
 
+import contextlib
+import importlib
 import random
+from unittest import mock
 
 from repro.graph.generators import gnp_random_graph, random_chordal_graph
 from repro.graph.graph import Graph
@@ -40,3 +43,26 @@ def small_chordal_graphs(count: int, max_nodes: int = 12, seed: int = 7) -> list
 def edge_set(graph: Graph) -> set[frozenset]:
     """Edges as a set of frozensets (order-free comparison helper)."""
     return set(graph.edge_set())
+
+
+#: Modules that pick a fused native step through ``fused_kernels()``.
+FUSED_USERS = (
+    "repro.core.extend",
+    "repro.chordal.minimal_separators",
+    "repro.sgr.separator_graph",
+    "repro.engine.coordinator",
+)
+
+
+@contextlib.contextmanager
+def int_mask_path():
+    """Run Extend, separator generation and answer materialisation on
+    their int-mask oracles, as ``REPRO_NATIVE_DISABLE=1`` does."""
+    with contextlib.ExitStack() as stack:
+        for name in FUSED_USERS:
+            stack.enter_context(
+                mock.patch.object(
+                    importlib.import_module(name), "fused_kernels", lambda: None
+                )
+            )
+        yield

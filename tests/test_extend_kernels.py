@@ -13,17 +13,15 @@ each kernel in isolation.
 from __future__ import annotations
 
 import contextlib
-import importlib
 import itertools
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import small_chordal_graphs, small_random_graphs
+from helpers import int_mask_path, small_chordal_graphs, small_random_graphs
 from repro.chordal.chordal_separators import (
     chordal_separator_masks,
     minimal_separators_of_chordal,
@@ -50,8 +48,11 @@ from repro.core.extend import (
     extend_masks_reference,
     extend_parallel_set,
     extend_tier,
+    materialise_masks,
+    materialise_masks_reference,
 )
 from repro.engine import EnumerationEngine, EnumerationJob
+from repro.errors import NotChordalError
 from repro.graph import connected_components, fused_kernels, resolve_graph_backend
 from repro.graph.bitset_np import (
     NumpyGraphCore,
@@ -343,28 +344,9 @@ class TestKernelUnits:
 # Fused native steps vs their int-mask oracles
 # ----------------------------------------------------------------------
 
-_FUSED_USERS = (
-    "repro.core.extend",
-    "repro.chordal.minimal_separators",
-    "repro.sgr.separator_graph",
-)
-
 needs_native = pytest.mark.skipif(
     fused_kernels() is None, reason="native extension unavailable"
 )
-
-
-@contextlib.contextmanager
-def int_mask_path():
-    """Run Extend and separator generation on the int-mask oracles."""
-    with contextlib.ExitStack() as stack:
-        for name in _FUSED_USERS:
-            stack.enter_context(
-                mock.patch.object(
-                    importlib.import_module(name), "fused_kernels", lambda: None
-                )
-            )
-        yield
 
 
 def oracle_separators(graph, limit=None):
@@ -378,6 +360,17 @@ def fused_separators(graph, limit=None):
 
 def assert_extend_parity(graph, phi):
     assert extend_masks(graph, phi) == extend_masks_reference(graph, phi)
+
+
+def assert_materialise_parity(graph, packed=None):
+    """Kernel vs int-mask oracle on the answer Extend(∅) of ``graph``."""
+    family = extend_masks_reference(graph, ())
+    expected = materialise_masks_reference(graph, family)
+    assert materialise_masks(graph, family, packed) == expected
+    lo, hi, width = expected
+    assert all(u < v for u, v in zip(lo, hi))
+    assert list(zip(lo, hi)) == sorted(zip(lo, hi))
+    return expected
 
 
 @st.composite
@@ -511,6 +504,65 @@ class TestFusedStepParity:
         assert not got_first & got_second
         assert got_first | got_second == full
         assert second.completed
+
+
+@needs_native
+class TestMaterialiseParity:
+    """``materialise_fill`` (fill pairs and width of g[φ] in one C call)
+    against its int-mask oracle ``materialise_masks_reference``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hypothesis_graphs())
+    def test_hypothesis_graphs_with_dead_slots(self, graph):
+        assert_materialise_parity(graph)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129])
+    def test_word_boundaries(self, n):
+        for p in (0.05, 0.3):
+            graph = gnp_random_graph(n, p, seed=n)
+            lo, __, width = assert_materialise_parity(graph)
+            if n == 1:
+                assert (lo, width) == ([], 0)
+
+    def test_component_subgraphs_keep_parent_index_space(self):
+        graph = gnp_random_graph(1049, 0.0015, seed=11)
+        for nodes in connected_components(graph)[-6:]:
+            region = graph.subgraph(nodes)
+            packed = PackedGraph(region)
+            assert_materialise_parity(region, packed)
+        lone = graph.subgraph([max(graph.nodes())])
+        assert materialise_masks(lone, ()) == ([], [], 0)
+
+    def test_every_answer_of_an_enumeration(self):
+        graph = gnp_random_graph(16, 0.3, seed=8)
+        sgr = MinimalSeparatorSGR(graph)
+        packed = PackedGraph(graph)
+        for family in itertools.islice(
+            enumerate_maximal_independent_sets(sgr), 80
+        ):
+            masks = [graph.mask_of(separator) for separator in family]
+            assert materialise_masks(
+                graph, masks, packed
+            ) == materialise_masks_reference(graph, masks)
+
+    def test_fill_buffer_grows_with_the_largest_fill(self):
+        graph = cycle_graph(200)
+        packed = PackedGraph(graph)
+        family = extend_masks_reference(graph, ())
+        lo, hi, width = materialise_masks(graph, family, packed)
+        assert (len(lo), width) == (197, 2)
+        capacity = packed._fill.shape[1]
+        assert len(lo) <= capacity <= 2 * len(lo)
+        again = materialise_masks(graph, family[::-1], packed)
+        assert again == (lo, hi, width)
+        assert packed._fill.shape[1] == capacity
+
+    def test_not_chordal_raises_on_both_paths(self):
+        graph = cycle_graph(5)
+        with pytest.raises(NotChordalError):
+            materialise_masks(graph, ())
+        with pytest.raises(NotChordalError):
+            materialise_masks_reference(graph, ())
 
 
 class TestExtendTierAttribution:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from helpers import small_random_graphs
@@ -11,6 +13,7 @@ from repro.core.ranked import (
     enumerate_minimal_triangulations_prioritized,
 )
 from repro.core.treewidth import min_fill_in_exact, treewidth_exact
+from repro.engine import EnumerationEngine, EnumerationJob
 from repro.graph.generators import cycle_graph, grid_graph
 from repro.graph.graph import Graph
 
@@ -41,8 +44,55 @@ class TestCompleteness:
 
     def test_disconnected_falls_back(self):
         g = Graph(edges=[(0, 1), (1, 2), (2, 0), (5, 6), (6, 7), (7, 8), (8, 5)])
-        produced = list(enumerate_minimal_triangulations_prioritized(g))
+        with pytest.warns(RuntimeWarning, match="unranked UP order"):
+            produced = list(enumerate_minimal_triangulations_prioritized(g))
         assert len(produced) == 2
+
+
+class TestUnrankedFallbackWarning:
+    """Ranked jobs over several regions say once that they run unranked."""
+
+    GRAPH = Graph(
+        edges=[(0, 1), (1, 2), (2, 3), (3, 0), (5, 6), (6, 7), (7, 8), (8, 5)]
+    )
+
+    def _run(self, **job):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            answers = EnumerationEngine("serial").run(
+                EnumerationJob(self.GRAPH, cost="width", **job)
+            ).triangulations
+        messages = [
+            str(w.message) for w in caught
+            if issubclass(w.category, RuntimeWarning)
+        ]
+        return answers, messages
+
+    def test_serial_ranked_warns_once(self):
+        answers, messages = self._run()
+        assert len(answers) == 4
+        assert len(messages) == 1
+        assert "2 connected components" in messages[0]
+        assert "unranked UP order" in messages[0]
+
+    def test_coordinated_ranked_warns_once(self, tmp_path):
+        answers, messages = self._run(checkpoint_path=tmp_path / "r.ckpt")
+        assert len(answers) == 4
+        assert len(messages) == 1
+        assert "2 regions" in messages[0]
+        assert "unranked UP order" in messages[0]
+
+    def test_connected_graph_does_not_warn(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ranked = list(enumerate_minimal_triangulations_prioritized(cycle_graph(6)))
+            coordinated = EnumerationEngine("serial").run(
+                EnumerationJob(
+                    cycle_graph(6), cost="width",
+                    checkpoint_path=tmp_path / "c.ckpt",
+                )
+            ).triangulations
+        assert len(ranked) == len(coordinated) == 14
 
 
 class TestOrderBias:
