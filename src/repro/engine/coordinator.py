@@ -180,7 +180,7 @@ class MISCoordinator:
         self._packed = native.PackedGraph(region) if native is not None else None
         priority = None
         if cost is not None:
-            priority = lambda answer: cost(self.materialise(answer))  # noqa: E731
+            priority = lambda answer: cost(self.materialise(answer))
         self._queue = _AnswerQueue(priority)
         self._seen: set[Answer] = set()
         self._dispatched: set[Answer] = set()
